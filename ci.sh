@@ -3,10 +3,11 @@
 #
 #   ./ci.sh
 #
-# Runs gofmt/vet, a full build, the full test suite, and a race-detector
-# pass over the packages with real goroutine hand-offs (the scheduler's
-# coroutine rendezvous, the trace log, the parallel sweep harness, and
-# the native-hardware backend with its whole-registry stress suite).
+# Runs gofmt/vet, a full build, the full test suite (plus the perfbench
+# module's own vet and tests), and a race-detector pass over the packages
+# with real goroutine hand-offs (the scheduler's coroutine rendezvous, the
+# trace log, the parallel sweep harness, and the native-hardware backend
+# with its whole-registry stress suite).
 # Everything is stdlib-only and deterministic, so a green run on one
 # machine is a green run on all. Then end-to-end smokes into artifacts/
 # (which stays out of git): the Figure 2 trace export, the
@@ -38,6 +39,11 @@ go test -race -short ./internal/service/...
 # package; this is the gate that keeps "drive everything through the
 # registry" honest.
 go test ./internal/registry/ -run TestRegistryCompleteness
+
+# The benchmark module (perfbench/, its own go.mod with a replace of this
+# module) imports registry, sched, cover, linz, adversary and native, but
+# the root build above never compiles it; vet and test it on its own.
+(cd perfbench && go vet ./... && go test ./...)
 
 mkdir -p artifacts
 

@@ -26,22 +26,15 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"text/tabwriter"
 	"time"
 
 	waitfree "repro"
-	"repro/internal/arena"
 	"repro/internal/arrival"
-	"repro/internal/baseline/gclist"
-	"repro/internal/baseline/herlihy"
 	"repro/internal/baseline/valois"
-	"repro/internal/core/multihash"
-	"repro/internal/core/multilist"
 	"repro/internal/core/multimwcas"
-	"repro/internal/core/unilist"
 	"repro/internal/core/unimwcas"
-	"repro/internal/core/uniqueue"
-	"repro/internal/core/unistack"
 	"repro/internal/cover"
 	"repro/internal/harness"
 	"repro/internal/helping"
@@ -55,7 +48,6 @@ import (
 	"repro/internal/shmem"
 	"repro/internal/trace"
 	"repro/internal/tracex"
-	"repro/internal/workload"
 )
 
 // withTrace is the -trace flag: record the report runs' event logs and
@@ -80,13 +72,14 @@ var (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig1|ext|mwcas|sec34|retries|valois|ablations|report|sweep|core|native|service|all")
-	ops := flag.Int("ops", 50000, "total operations for the sec34 experiments (the paper used 50000)")
-	procs := flag.Int("procs", 4, "processors for the sec34 experiments (the paper used 4)")
-	seed := flag.Int64("seed", 11, "random seed")
-	sweepSeeds := flag.Int("sweepseeds", 3, "seeds per cell for the -exp sweep matrix")
-	outdir := flag.String("outdir", ".", "directory for the BENCH_<object>.json run reports")
-	coreBaseline := flag.String("corebaseline", "", "with -exp core: committed BENCH_core.json to gate ns/slice regressions against")
+	var p params
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(experimentNames(), "|")+"|all")
+	flag.IntVar(&p.ops, "ops", 50000, "total operations for the sec34 experiments (the paper used 50000)")
+	flag.IntVar(&p.procs, "procs", 4, "processors for the sec34 experiments (the paper used 4)")
+	flag.Int64Var(&p.seed, "seed", 11, "random seed")
+	flag.IntVar(&p.sweepSeeds, "sweepseeds", 3, "seeds per cell for the -exp sweep matrix (at least 1)")
+	flag.StringVar(&p.outdir, "outdir", ".", "directory for the BENCH_<object>.json run reports")
+	flag.StringVar(&p.coreBaseline, "corebaseline", "", "with -exp core: committed BENCH_core.json to gate ns/slice regressions against")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	blockprofile := flag.String("blockprofile", "", "write a block (contention) profile to this file on exit")
@@ -101,6 +94,11 @@ func main() {
 	flag.Float64Var(&serviceZipf, "zipf", 1.2, "with -exp service: Zipf skew of the key popularity (>1; <=1 disables skew)")
 	flag.Parse()
 
+	sel, err := selectExperiments(*exp, p.sweepSeeds)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "wfbench: %v\n", err)
+		os.Exit(2)
+	}
 	if _, err := sched.PolicyByName(benchPolicy); err != nil {
 		fmt.Fprintf(os.Stderr, "wfbench: %v\n", err)
 		os.Exit(1)
@@ -125,33 +123,75 @@ func main() {
 		os.Exit(code)
 	}
 
-	if err := os.MkdirAll(*outdir, 0o755); err != nil {
+	if err := os.MkdirAll(p.outdir, 0o755); err != nil {
 		fmt.Fprintf(os.Stderr, "wfbench: %v\n", err)
 		exit(1)
 	}
 
-	run := func(name string, f func() error) {
-		switch *exp {
-		case "all", name:
-			if err := f(); err != nil {
-				fmt.Fprintf(os.Stderr, "wfbench: %s: %v\n", name, err)
-				exit(1)
-			}
+	for _, x := range sel {
+		if err := x.run(p); err != nil {
+			fmt.Fprintf(os.Stderr, "wfbench: %s: %v\n", x.name, err)
+			exit(1)
 		}
 	}
-	run("fig1", func() error { return fig1(*seed) })
-	run("ext", func() error { return extensions(*seed) })
-	run("mwcas", func() error { return mwcasTable(*seed) })
-	run("sec34", func() error { return sec34(*ops, *procs, *seed) })
-	run("retries", func() error { return retries(*ops, *procs, *seed) })
-	run("valois", func() error { return valoisCmp(*seed) })
-	run("ablations", func() error { return ablations(*seed) })
-	run("report", func() error { return reports(*outdir, *seed) })
-	run("sweep", func() error { return sweep(*outdir, *sweepSeeds) })
-	run("core", func() error { return coreBench(*outdir, *coreBaseline) })
-	run("native", func() error { return nativeBench(*outdir, *ops, *procs, *seed) })
-	run("service", func() error { return serviceBench(*outdir, *ops, *procs, *seed) })
 	stopProf()
+}
+
+// params carries the flag values the experiments read.
+type params struct {
+	ops, procs   int
+	seed         int64
+	sweepSeeds   int
+	outdir       string
+	coreBaseline string
+}
+
+// experiment is one -exp choice.
+type experiment struct {
+	name string
+	run  func(p params) error
+}
+
+// experiments lists every -exp choice in the order -exp all runs them.
+var experiments = []experiment{
+	{"fig1", func(p params) error { return fig1(p.seed) }},
+	{"ext", func(p params) error { return extensions(p.seed) }},
+	{"mwcas", func(p params) error { return mwcasTable(p.seed) }},
+	{"sec34", func(p params) error { return sec34(p.ops, p.procs, p.seed) }},
+	{"retries", func(p params) error { return retries(p.ops, p.procs, p.seed) }},
+	{"valois", func(p params) error { return valoisCmp(p.seed) }},
+	{"ablations", func(p params) error { return ablations(p.seed) }},
+	{"report", func(p params) error { return reports(p.outdir, p.seed) }},
+	{"sweep", func(p params) error { return sweep(p.outdir, p.sweepSeeds) }},
+	{"core", func(p params) error { return coreBench(p.outdir, p.coreBaseline) }},
+	{"native", func(p params) error { return nativeBench(p.outdir, p.ops, p.procs, p.seed) }},
+	{"service", func(p params) error { return serviceBench(p.outdir, p.ops, p.procs, p.seed) }},
+}
+
+func experimentNames() []string {
+	names := make([]string, len(experiments))
+	for i, x := range experiments {
+		names[i] = x.name
+	}
+	return names
+}
+
+// selectExperiments resolves -exp (one name, or "all") and validates
+// -sweepseeds; an unknown name is an error listing the valid ones, so a
+// typo cannot pass for a run that printed nothing.
+func selectExperiments(exp string, sweepSeeds int) ([]experiment, error) {
+	if sweepSeeds < 1 {
+		return nil, fmt.Errorf("-sweepseeds %d: need at least one seed per cell", sweepSeeds)
+	}
+	if exp == "all" {
+		return experiments, nil
+	}
+	for _, x := range experiments {
+		if x.name == exp {
+			return []experiment{x}, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q (want %s|all)", exp, strings.Join(experimentNames(), "|"))
 }
 
 func table(title string, header []string, rows [][]string) {
@@ -176,6 +216,16 @@ func table(title string, header []string, rows [][]string) {
 	if err := w.Flush(); err != nil {
 		fmt.Fprintf(os.Stderr, "wfbench: %v\n", err)
 	}
+}
+
+// tens returns the n keys 10, 20, ..., 10n: a seeded list whose gaps take
+// the probe keys 10n+5 at the far end.
+func tens(n int) []uint64 {
+	keys := make([]uint64, n)
+	for j := range keys {
+		keys[j] = uint64(10 * (j + 1))
+	}
+	return keys
 }
 
 // fig1 regenerates the Figure 1 summary table: worst-case operation times
@@ -214,30 +264,19 @@ func fig1(seed int64) error {
 	// Row 2: uniprocessor list vs T (with one helped preemption: 2T).
 	for _, size := range []int{100, 200, 400, 800} {
 		s := sched.New(sched.Config{Processors: 1, Seed: seed, MemWords: 1 << 17})
-		ar, err := arena.New(s.Mem(), size+16, 2)
+		l, err := registry.Build(s, "unilist", registry.Config{Procs: 2, Capacity: size + 16, SeedKeys: tens(size)})
 		if err != nil {
 			return err
 		}
-		l, err := unilist.New(s.Mem(), ar, 2)
-		if err != nil {
-			return err
-		}
-		keys := make([]uint64, size)
-		for j := range keys {
-			keys[j] = uint64(10 * (j + 1))
-		}
-		if err := l.SeedAscending(keys); err != nil {
-			return err
-		}
-		ar.Freeze()
+		key := uint64(10*size + 5)
 		var cost int64
 		s.Spawn(sched.JobSpec{Name: "victim", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Body: func(e *sched.Env) {
 			start := e.Now()
-			l.Insert(e, uint64(10*size+5), 0)
+			l.Apply(e, 0, registry.Op{Code: registry.OpInsert, Key: key})
 			cost = e.Now() - start
 		}})
 		s.Spawn(sched.JobSpec{Name: "adv", CPU: 0, Prio: 9, Slot: 1, AfterSlices: int64(size), Body: func(e *sched.Env) {
-			l.Search(e, uint64(10*size+5))
+			l.Apply(e, 1, registry.Op{Code: registry.OpSearch, Key: key})
 		}})
 		if err := s.Run(); err != nil {
 			return err
@@ -285,28 +324,17 @@ func fig1(seed int64) error {
 	// Row 4: multiprocessor list vs P and T.
 	for _, pt := range []struct{ p, t int }{{2, 200}, {4, 200}, {8, 200}, {4, 100}, {4, 400}} {
 		s := sched.New(sched.Config{Processors: pt.p, Seed: seed, MemWords: 1 << 18})
-		ar, err := arena.New(s.Mem(), pt.t+16, pt.p)
+		l, err := registry.Build(s, "multilist", registry.Config{
+			Processors: pt.p, Procs: pt.p, Capacity: pt.t + 16, Stride: 1, SeedKeys: tens(pt.t),
+		})
 		if err != nil {
 			return err
 		}
-		l, err := multilist.New(s.Mem(), ar, multilist.Config{Processors: pt.p, Procs: pt.p})
-		if err != nil {
-			return err
-		}
-		keys := make([]uint64, pt.t)
-		for j := range keys {
-			keys[j] = uint64(10 * (j + 1))
-		}
-		if err := l.SeedAscending(keys); err != nil {
-			return err
-		}
-		ar.Freeze()
 		worst := make([]int64, pt.p)
 		for cpu := 0; cpu < pt.p; cpu++ {
-			cpu := cpu
 			s.Spawn(sched.JobSpec{Name: "", CPU: cpu, Prio: 1, Slot: cpu, AfterSlices: -1, Body: func(e *sched.Env) {
 				start := e.Now()
-				l.Search(e, uint64(10*pt.t+5))
+				l.Apply(e, cpu, registry.Op{Code: registry.OpSearch, Key: uint64(10*pt.t + 5)})
 				worst[cpu] = e.Now() - start
 			}})
 		}
@@ -331,52 +359,42 @@ func fig1(seed int64) error {
 // ops insertion/deletion operations on sorted lists of 200-2,000 elements,
 // wait-free vs lock-free, on `procs` processors.
 func sec34(ops, procs int, seed int64) error {
-	var rows [][]string
-	for _, size := range []int{200, 500, 1000, 1500, 2000} {
-		mk := map[workload.Kind]int64{}
-		for _, kind := range []workload.Kind{workload.WaitFree, workload.LockFreeGC} {
-			res, err := workload.RunList(workload.ListConfig{
-				Kind: kind, Processors: procs, BurstsPerCPU: 4, BurstOps: 25,
-				TotalOps: ops, ListSize: size, Seed: seed,
-			})
-			if err != nil {
-				return err
+	ratios := func(sizes []int, searchPercent int) ([][]string, error) {
+		var rows [][]string
+		for _, size := range sizes {
+			mk := map[scenario.ListKind]int64{}
+			for _, kind := range []scenario.ListKind{scenario.WaitFree, scenario.LockFreeGC} {
+				res, err := scenario.RunList(scenario.ListConfig{
+					Kind: kind, Processors: procs, BurstsPerCPU: 4, BurstOps: 25,
+					TotalOps: ops, ListSize: size, Seed: seed, SearchPercent: searchPercent,
+				})
+				if err != nil {
+					return nil, err
+				}
+				mk[kind] = res.Makespan
 			}
-			mk[kind] = res.Makespan
+			rows = append(rows, []string{
+				fmt.Sprint(size),
+				fmt.Sprint(mk[scenario.WaitFree]),
+				fmt.Sprint(mk[scenario.LockFreeGC]),
+				fmt.Sprintf("%.2f", float64(mk[scenario.WaitFree])/float64(mk[scenario.LockFreeGC])),
+			})
 		}
-		rows = append(rows, []string{
-			fmt.Sprint(size),
-			fmt.Sprint(mk[workload.WaitFree]),
-			fmt.Sprint(mk[workload.LockFreeGC]),
-			fmt.Sprintf("%.2f", float64(mk[workload.WaitFree])/float64(mk[workload.LockFreeGC])),
-		})
+		return rows, nil
+	}
+	header := []string{"list size", "wait-free", "lock-free [7]", "ratio"}
+	rows, err := ratios([]int{200, 500, 1000, 1500, 2000}, 0)
+	if err != nil {
+		return err
 	}
 	table(fmt.Sprintf("Section 3.4 — total time, %d ins/del ops, %d processors (paper: ratio 1.5-2, \"1.5 more typical\")", ops, procs),
-		[]string{"list size", "wait-free", "lock-free [7]", "ratio"}, rows)
+		header, rows)
 
 	// Supplementary: a read-heavy mix (kernels mostly look things up).
-	rows = nil
-	for _, size := range []int{200, 1000} {
-		mk := map[workload.Kind]int64{}
-		for _, kind := range []workload.Kind{workload.WaitFree, workload.LockFreeGC} {
-			res, err := workload.RunList(workload.ListConfig{
-				Kind: kind, Processors: procs, BurstsPerCPU: 4, BurstOps: 25,
-				TotalOps: ops, ListSize: size, Seed: seed, SearchPercent: 80,
-			})
-			if err != nil {
-				return err
-			}
-			mk[kind] = res.Makespan
-		}
-		rows = append(rows, []string{
-			fmt.Sprint(size),
-			fmt.Sprint(mk[workload.WaitFree]),
-			fmt.Sprint(mk[workload.LockFreeGC]),
-			fmt.Sprintf("%.2f", float64(mk[workload.WaitFree])/float64(mk[workload.LockFreeGC])),
-		})
+	if rows, err = ratios([]int{200, 1000}, 80); err != nil {
+		return err
 	}
-	table("Section 3.4 supplement — 80% searches (read-heavy kernel mix)",
-		[]string{"list size", "wait-free", "lock-free [7]", "ratio"}, rows)
+	table("Section 3.4 supplement — 80% searches (read-heavy kernel mix)", header, rows)
 	return nil
 }
 
@@ -385,15 +403,15 @@ func sec34(ops, procs int, seed int64) error {
 func retries(ops, procs int, seed int64) error {
 	var rows [][]string
 	for _, size := range []int{200, 500, 1000} {
-		lf, err := workload.RunList(workload.ListConfig{
-			Kind: workload.LockFreeGC, Processors: procs, BurstsPerCPU: 4, BurstOps: 25,
+		lf, err := scenario.RunList(scenario.ListConfig{
+			Kind: scenario.LockFreeGC, Processors: procs, BurstsPerCPU: 4, BurstOps: 25,
 			TotalOps: ops, ListSize: size, Seed: seed,
 		})
 		if err != nil {
 			return err
 		}
-		wf, err := workload.RunList(workload.ListConfig{
-			Kind: workload.WaitFree, Processors: procs, BurstsPerCPU: 3, BurstOps: 1,
+		wf, err := scenario.RunList(scenario.ListConfig{
+			Kind: scenario.WaitFree, Processors: procs, BurstsPerCPU: 3, BurstOps: 1,
 			TotalOps: ops, ListSize: size, Seed: seed,
 		})
 		if err != nil {
@@ -413,27 +431,23 @@ func retries(ops, procs int, seed int64) error {
 // valoisCmp regenerates the [7]-cited comparison: CAS2 lock-free vs
 // CAS-only (Valois) under high contention.
 func valoisCmp(seed int64) error {
-	runList := func(build func(s *sched.Sim, ar *arena.Arena) (workload.List, error)) (int64, error) {
+	runList := func(name string, refCounted bool) (int64, error) {
 		s := sched.New(sched.Config{Processors: 4, Seed: seed, MemWords: 1 << 18, Granularity: sched.Coarse, SyncCost: 8})
-		ar, err := arena.New(s.Mem(), 1<<14, 4)
+		l, err := registry.Build(s, name, registry.Config{Procs: 4, Capacity: 1 << 14})
 		if err != nil {
 			return 0, err
 		}
-		l, err := build(s, ar)
-		if err != nil {
-			return 0, err
+		if v, ok := l.Underlying().(*valois.List); ok {
+			v.SetRefCounted(refCounted)
 		}
-		ar.Freeze()
 		for cpu := 0; cpu < 4; cpu++ {
-			cpu := cpu
 			s.Spawn(sched.JobSpec{Name: "", CPU: cpu, Prio: 1, Slot: cpu, AfterSlices: -1, Body: func(e *sched.Env) {
 				for op := 0; op < 1000; op++ {
-					key := uint64(1 + e.Rand().Intn(64))
+					o := registry.Op{Code: registry.OpDelete, Key: uint64(1 + e.Rand().Intn(64))}
 					if e.Rand().Intn(2) == 0 {
-						l.Insert(e, key, key)
-					} else {
-						l.Delete(e, key)
+						o.Code, o.Val = registry.OpInsert, o.Key
 					}
+					l.Apply(e, cpu, o)
 				}
 			}})
 		}
@@ -442,26 +456,15 @@ func valoisCmp(seed int64) error {
 		}
 		return s.Elapsed(), nil
 	}
-	gc, err := runList(func(s *sched.Sim, ar *arena.Arena) (workload.List, error) {
-		return gclist.New(s.Mem(), ar, 4)
-	})
+	gc, err := runList("gclist", false)
 	if err != nil {
 		return err
 	}
-	vr, err := runList(func(s *sched.Sim, ar *arena.Arena) (workload.List, error) {
-		l, err := valois.New(s.Mem(), ar, 4)
-		if err != nil {
-			return nil, err
-		}
-		l.SetRefCounted(true)
-		return l, nil
-	})
+	vr, err := runList("valois", true)
 	if err != nil {
 		return err
 	}
-	vh, err := runList(func(s *sched.Sim, ar *arena.Arena) (workload.List, error) {
-		return valois.New(s.Mem(), ar, 4)
-	})
+	vh, err := runList("valois", false)
 	if err != nil {
 		return err
 	}
@@ -480,45 +483,25 @@ func ablations(seed int64) error {
 	// A1: 2PT vs 2NT.
 	var rows [][]string
 	for _, n := range []int{4, 8, 16, 32} {
-		wf := func() int64 {
+		// Every process inserts its own key once.
+		insertAll := func(name string, cfg registry.Config) int64 {
 			s := sched.New(sched.Config{Processors: 4, Seed: seed, MemWords: 1 << 18})
-			ar, err := arena.New(s.Mem(), 256, n)
+			obj, err := registry.Build(s, name, cfg)
 			if err != nil {
 				return -1
 			}
-			l, err := multilist.New(s.Mem(), ar, multilist.Config{Processors: 4, Procs: n})
-			if err != nil {
-				return -1
-			}
-			ar.Freeze()
 			for p := 0; p < n; p++ {
-				p := p
 				s.Spawn(sched.JobSpec{Name: "", CPU: p % 4, Prio: sched.Priority(p / 4), Slot: p, AfterSlices: -1, Body: func(e *sched.Env) {
-					l.Insert(e, uint64(p+1), 0)
+					obj.Apply(e, p, registry.Op{Code: registry.OpInsert, Key: uint64(p + 1)})
 				}})
 			}
 			if err := s.Run(); err != nil {
 				return -1
 			}
 			return s.Elapsed()
-		}()
-		uc := func() int64 {
-			s := sched.New(sched.Config{Processors: 4, Seed: seed, MemWords: 1 << 18})
-			obj, err := herlihy.New(s.Mem(), n, 40, herlihy.SortedSetApply)
-			if err != nil {
-				return -1
-			}
-			for p := 0; p < n; p++ {
-				p := p
-				s.Spawn(sched.JobSpec{Name: "", CPU: p % 4, Prio: sched.Priority(p / 4), Slot: p, AfterSlices: -1, Body: func(e *sched.Env) {
-					obj.Do(e, 1, uint64(p+1))
-				}})
-			}
-			if err := s.Run(); err != nil {
-				return -1
-			}
-			return s.Elapsed()
-		}()
+		}
+		wf := insertAll("multilist", registry.Config{Processors: 4, Procs: n, Capacity: 256, Stride: 1})
+		uc := insertAll("herlihy", registry.Config{Procs: n, Capacity: 40})
 		rows = append(rows, []string{fmt.Sprint(n), fmt.Sprint(wf), fmt.Sprint(uc), fmt.Sprintf("%.2f", float64(uc)/float64(wf))})
 	}
 	table("A1 — processor-indexed helping (2PT, this paper) vs process-indexed (2NT, Herlihy [8]); P=4",
@@ -528,34 +511,24 @@ func ablations(seed int64) error {
 	rows = nil
 	for _, mode := range []helping.Mode{helping.Cyclic, helping.Priority} {
 		s := sched.New(sched.Config{Processors: 4, Seed: seed, MemWords: 1 << 18})
-		ar, err := arena.New(s.Mem(), 340, 4)
+		l, err := registry.Build(s, "multilist", registry.Config{
+			Processors: 4, Procs: 4, Capacity: 340, Mode: mode, Stride: 1, SeedKeys: tens(300),
+		})
 		if err != nil {
 			return err
 		}
-		l, err := multilist.New(s.Mem(), ar, multilist.Config{Processors: 4, Procs: 4, Mode: mode})
-		if err != nil {
-			return err
-		}
-		keys := make([]uint64, 300)
-		for j := range keys {
-			keys[j] = uint64(10 * (j + 1))
-		}
-		if err := l.SeedAscending(keys); err != nil {
-			return err
-		}
-		ar.Freeze()
+		search := registry.Op{Code: registry.OpSearch, Key: 3005}
 		var hi int64
 		for cpu := 1; cpu < 4; cpu++ {
-			cpu := cpu
 			s.Spawn(sched.JobSpec{Name: "", CPU: cpu, Prio: 1, Slot: cpu, AfterSlices: -1, Body: func(e *sched.Env) {
 				for k := 0; k < 3; k++ {
-					l.Search(e, 3005)
+					l.Apply(e, cpu, search)
 				}
 			}})
 		}
 		s.Spawn(sched.JobSpec{Name: "hi", CPU: 0, Prio: 9, Slot: 0, At: 700, AfterSlices: -1, Body: func(e *sched.Env) {
 			start := e.Now()
-			l.Search(e, 3005)
+			l.Apply(e, 0, search)
 			hi = e.Now() - start
 		}})
 		if err := s.Run(); err != nil {
@@ -570,21 +543,14 @@ func ablations(seed int64) error {
 	rows = nil
 	for _, oneRound := range []bool{false, true} {
 		s := sched.New(sched.Config{Processors: 4, Seed: seed, MemWords: 1 << 14})
-		obj, err := multimwcas.New(s.Mem(), multimwcas.Config{Processors: 4, Procs: 4, Width: 2, OneRound: oneRound})
+		obj, err := registry.Build(s, "multimwcas", registry.Config{Processors: 4, Procs: 4, Width: 2, Words: 2, OneRound: oneRound})
 		if err != nil {
 			return err
 		}
-		base := s.Mem().MustAlloc("app", 2)
-		words := []shmem.Addr{base, base + 1}
-		obj.InitWord(words[0], 0)
-		obj.InitWord(words[1], 0)
 		for cpu := 0; cpu < 4; cpu++ {
-			cpu := cpu
 			s.Spawn(sched.JobSpec{Name: "", CPU: cpu, Prio: 1, Slot: cpu, AfterSlices: -1, Body: func(e *sched.Env) {
 				for k := 0; k < 25; k++ {
-					a := obj.ReadWord(e, words[0])
-					c := obj.ReadWord(e, words[1])
-					obj.MWCAS(e, words, []uint64{a, c}, []uint64{a + 1, c + 1})
+					obj.Apply(e, cpu, registry.Op{Code: registry.OpMWCAS, Words: []int{0, 1}, Delta: 1})
 				}
 			}})
 		}
@@ -603,33 +569,23 @@ func ablations(seed int64) error {
 	rows = nil
 	lowResp := func(mode helping.Mode, burst int) (int64, error) {
 		s := sched.New(sched.Config{Processors: 4, Seed: seed, MemWords: 1 << 19})
-		ar, err := arena.New(s.Mem(), 1024, 4)
+		l, err := registry.Build(s, "multilist", registry.Config{
+			Processors: 4, Procs: 4, Capacity: 1024, Mode: mode, Stride: 1, SeedKeys: tens(200),
+		})
 		if err != nil {
 			return 0, err
 		}
-		l, err := multilist.New(s.Mem(), ar, multilist.Config{Processors: 4, Procs: 4, Mode: mode})
-		if err != nil {
-			return 0, err
-		}
-		keys := make([]uint64, 200)
-		for j := range keys {
-			keys[j] = uint64(10 * (j + 1))
-		}
-		if err := l.SeedAscending(keys); err != nil {
-			return 0, err
-		}
-		ar.Freeze()
+		search := registry.Op{Code: registry.OpSearch, Key: 2005}
 		var low int64
 		s.Spawn(sched.JobSpec{Name: "low", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Body: func(e *sched.Env) {
 			start := e.Now()
-			l.Search(e, 2005)
+			l.Apply(e, 0, search)
 			low = e.Now() - start
 		}})
 		for cpu := 1; cpu < 4; cpu++ {
-			cpu := cpu
 			s.Spawn(sched.JobSpec{Name: "", CPU: cpu, Prio: 9, Slot: cpu, At: int64(cpu), AfterSlices: -1, Body: func(e *sched.Env) {
 				for i := 0; i < burst; i++ {
-					l.Search(e, 2005)
+					l.Apply(e, cpu, search)
 				}
 			}})
 		}
@@ -678,25 +634,26 @@ func extensions(seed int64) error {
 	var rows [][]string
 
 	// Queue/stack/hash worst-case op costs under one helped preemption.
-	uniCost := func(build func(s *sched.Sim, ar *arena.Arena) (func(e *sched.Env), error), nodes int) (int64, error) {
+	// Each of victim and adversary runs the op pair once.
+	uniCost := func(name string, pair ...registry.Op) (int64, error) {
 		s := sched.New(sched.Config{Processors: 1, Seed: seed, MemWords: 1 << 18})
-		ar, err := arena.New(s.Mem(), nodes, 2)
+		obj, err := registry.Build(s, name, registry.Config{Procs: 2, Capacity: 64})
 		if err != nil {
 			return 0, err
 		}
-		op, err := build(s, ar)
-		if err != nil {
-			return 0, err
+		op := func(e *sched.Env, slot int) {
+			for _, o := range pair {
+				obj.Apply(e, slot, o)
+			}
 		}
-		ar.Freeze()
 		var cost int64
 		s.Spawn(sched.JobSpec{Name: "victim", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Body: func(e *sched.Env) {
 			start := e.Now()
-			op(e)
+			op(e, 0)
 			cost = e.Now() - start
 		}})
 		s.Spawn(sched.JobSpec{Name: "adv", CPU: 0, Prio: 9, Slot: 1, AfterSlices: 20, Body: func(e *sched.Env) {
-			op(e)
+			op(e, 1)
 		}})
 		if err := s.Run(); err != nil {
 			return 0, err
@@ -704,23 +661,11 @@ func extensions(seed int64) error {
 		return cost, nil
 	}
 
-	qCost, err := uniCost(func(s *sched.Sim, ar *arena.Arena) (func(e *sched.Env), error) {
-		q, err := uniqueue.New(s.Mem(), ar, 2)
-		if err != nil {
-			return nil, err
-		}
-		return func(e *sched.Env) { q.Enqueue(e, 1); q.Dequeue(e) }, nil
-	}, 64)
+	qCost, err := uniCost("uniqueue", registry.Op{Code: registry.OpEnqueue, Val: 1}, registry.Op{Code: registry.OpDequeue})
 	if err != nil {
 		return err
 	}
-	stCost, err := uniCost(func(s *sched.Sim, ar *arena.Arena) (func(e *sched.Env), error) {
-		st, err := unistack.New(s.Mem(), ar, 2)
-		if err != nil {
-			return nil, err
-		}
-		return func(e *sched.Env) { st.Push(e, 1); st.Pop(e) }, nil
-	}, 64)
+	stCost, err := uniCost("unistack", registry.Op{Code: registry.OpPush, Val: 1}, registry.Op{Code: registry.OpPop})
 	if err != nil {
 		return err
 	}
@@ -731,26 +676,18 @@ func extensions(seed int64) error {
 	// Hash bucket speedup: search cost vs bucket count at 256 keys.
 	for _, k := range []int{1, 4, 16} {
 		s := sched.New(sched.Config{Processors: 1, Seed: seed, MemWords: 1 << 19})
-		ar, err := arena.New(s.Mem(), 320, 1)
-		if err != nil {
-			return err
-		}
-		tb, err := multihash.New(s.Mem(), ar, multihash.Config{Processors: 1, Procs: 1, Buckets: k})
-		if err != nil {
-			return err
-		}
 		keys := make([]uint64, 256)
 		for i := range keys {
 			keys[i] = uint64(i + 1)
 		}
-		if err := tb.SeedKeys(keys); err != nil {
+		tb, err := registry.Build(s, "multihash", registry.Config{Processors: 1, Procs: 1, Capacity: 320, Buckets: k, SeedKeys: keys})
+		if err != nil {
 			return err
 		}
-		ar.Freeze()
 		var cost int64
 		s.SpawnAt(0, 0, 1, "p", func(e *sched.Env) {
 			start := e.Now()
-			tb.Search(e, 256)
+			tb.Apply(e, 0, registry.Op{Code: registry.OpSearch, Key: 256})
 			cost = e.Now() - start
 		})
 		if err := s.Run(); err != nil {
@@ -829,20 +766,20 @@ func reports(outdir string, seed int64) error {
 	// points), these reports are skipped (loudly) and only the registry
 	// objects are measured.
 	listKinds := []struct {
-		kind  workload.Kind
+		kind  scenario.ListKind
 		procs int
 	}{
-		{workload.WaitFree, 4},
-		{workload.WaitFreeUni, 1},
-		{workload.LockFreeGC, 4},
+		{scenario.WaitFree, 4},
+		{scenario.WaitFreeUni, 1},
+		{scenario.LockFreeGC, 4},
 	}
-	if benchArrival != "" || !workload.PolicyAccepted(benchPolicy) {
+	if benchArrival != "" || !scenario.PolicyAccepted(benchPolicy) {
 		listKinds = nil
 		fmt.Fprintf(os.Stderr, "wfbench: skipping workload list reports (workload policies: %v, no -arrival override); registry objects only\n",
-			workload.AcceptedPolicies())
+			scenario.AcceptedPolicies())
 	}
 	for _, lk := range listKinds {
-		res, err := workload.RunList(workload.ListConfig{
+		res, err := scenario.RunList(scenario.ListConfig{
 			Kind: lk.kind, Processors: lk.procs, BurstsPerCPU: 2, BurstOps: 10,
 			TotalOps: 400, ListSize: 100, Seed: seed, EnableTrace: withTrace,
 			Policy: benchPolicy,
@@ -1124,11 +1061,11 @@ func sweep(outdir string, seeds int) error {
 func mwcasTable(seed int64) error {
 	var rows [][]string
 	for _, pw := range []struct{ p, w int }{{1, 2}, {1, 4}, {2, 2}, {4, 2}, {4, 4}} {
-		kind := workload.MWCASMulti
+		kind := scenario.MWCASMulti
 		if pw.p == 1 {
-			kind = workload.MWCASUni
+			kind = scenario.MWCASUni
 		}
-		res, err := workload.RunMWCAS(workload.MWCASConfig{
+		res, err := scenario.RunMWCAS(scenario.MWCASConfig{
 			Kind: kind, Processors: pw.p, Words: 8, Width: pw.w,
 			TotalCommits: 2000, BurstsPerCPU: 2, BurstCommits: 20, Seed: seed,
 		})

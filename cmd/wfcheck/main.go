@@ -65,8 +65,8 @@ import (
 	"repro/internal/linz/adversary"
 	"repro/internal/prof"
 	"repro/internal/registry"
+	"repro/internal/scenario"
 	"repro/internal/sched"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -406,8 +406,8 @@ func linzMain(suite string, randN, par int, coverage, progress bool, policy stri
 func workloadSweep(maxSlice int64, observe func(sig uint64)) (int, error) {
 	n := 0
 	for seed := int64(0); seed < maxSlice; seed++ {
-		res, err := workload.RunList(workload.ListConfig{
-			Kind: workload.WaitFree, Processors: 3, BurstsPerCPU: 2, BurstOps: 4,
+		res, err := scenario.RunList(scenario.ListConfig{
+			Kind: scenario.WaitFree, Processors: 3, BurstsPerCPU: 2, BurstOps: 4,
 			TotalOps: 120, ListSize: 16, Seed: seed, Check: true,
 			Granularity: sched.Fine,
 		})

@@ -7,6 +7,7 @@
 //
 //	wftrace -object uniqueue -seed 1                  # span report on stdout
 //	wftrace -object unilist -pattern stagger -export perfetto -o fig2.trace.json
+//	wftrace -object unilist -pattern stagger -export log  # Figure 2: event log + Gantt chart
 //	wftrace -object multiqueue -export text           # deterministic text form
 //	wftrace -linz -object uniqueue -seed 7 -strategy pct  # replay an adversary schedule
 //
@@ -30,6 +31,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -41,6 +43,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/scenario"
 	"repro/internal/sched"
+	"repro/internal/trace"
 	"repro/internal/tracex"
 )
 
@@ -50,8 +53,8 @@ func main() {
 	pat := flag.String("pattern", "stagger", "preemption pattern: "+strings.Join(scenario.Patterns(), "|"))
 	policy := flag.String("policy", "", "scheduling policy (default: the paper's strict-priority model)")
 	arrivalName := flag.String("arrival", "", "arrival trace for the adversary/burst releases: "+strings.Join(arrival.Names(), "|")+" (default: -pattern)")
-	export := flag.String("export", "", "also export the span model: perfetto|text")
-	out := flag.String("o", "", "export path (default <object>.trace.json or <object>.trace.txt)")
+	export := flag.String("export", "", "also export the run: perfetto|text (span model), csv (event log), log (event log and Gantt chart on stdout)")
+	out := flag.String("o", "", "export path (default <object>.trace.json, .trace.txt or .trace.csv)")
 	report := flag.Bool("report", false, "print the run report after the span summary")
 	linzMode := flag.Bool("linz", false, "replay one randomized adversary schedule and print its black-box history and verdict")
 	strategy := flag.String("strategy", "uniform", "adversary strategy in -linz mode: uniform|pct")
@@ -118,20 +121,7 @@ func runNative(object string, seed int64, procs, ops int, export, out string, re
 		}
 	}
 
-	switch export {
-	case "":
-		return nil
-	case "perfetto":
-		b, err := t.Perfetto()
-		if err != nil {
-			return err
-		}
-		return write(defaultPath(out, object+".native.trace.json"), b)
-	case "text":
-		return write(defaultPath(out, object+".native.trace.txt"), []byte(t.Text()))
-	default:
-		return fmt.Errorf("unknown export format %q (want perfetto or text)", export)
-	}
+	return exportTrace(res.TraceLog, t, export, out, object+".native")
 }
 
 // runLinz replays one adversary schedule with tracing on: the reproducer
@@ -158,21 +148,7 @@ func runLinz(object string, seed int64, strategy, policy, export, out string) er
 		fmt.Print(verdict.Counterexample.Tree(r.History))
 	}
 
-	t := tracex.Build(r.Sim.Trace())
-	switch export {
-	case "":
-		return nil
-	case "perfetto":
-		b, err := t.Perfetto()
-		if err != nil {
-			return err
-		}
-		return write(defaultPath(out, object+".linz.trace.json"), b)
-	case "text":
-		return write(defaultPath(out, object+".linz.trace.txt"), []byte(t.Text()))
-	default:
-		return fmt.Errorf("unknown export format %q (want perfetto or text)", export)
-	}
+	return exportTrace(r.Sim.Trace(), tracex.Build(r.Sim.Trace()), export, out, object+".linz")
 }
 
 func run(object string, seed int64, pat, policy, arrivalName, export, out string, report bool) error {
@@ -202,7 +178,16 @@ func run(object string, seed int64, pat, policy, arrivalName, export, out string
 		}
 	}
 
-	switch export {
+	return exportTrace(s.Trace(), t, export, out, object)
+}
+
+// exportTrace writes the run in the -export format: the span model t as
+// Perfetto JSON or deterministic text, or the raw event log as CSV, each
+// to the -o path (default <base>.trace.json/.txt/.csv); or, for log, the
+// event log and a 72-column Gantt chart on stdout — the paper's Figure 2
+// rendering when the run is -object unilist -pattern stagger.
+func exportTrace(log *trace.Log, t *tracex.Trace, format, out, base string) error {
+	switch format {
 	case "":
 		return nil
 	case "perfetto":
@@ -210,11 +195,25 @@ func run(object string, seed int64, pat, policy, arrivalName, export, out string
 		if err != nil {
 			return err
 		}
-		return write(defaultPath(out, object+".trace.json"), b)
+		return write(defaultPath(out, base+".trace.json"), b)
 	case "text":
-		return write(defaultPath(out, object+".trace.txt"), []byte(t.Text()))
+		return write(defaultPath(out, base+".trace.txt"), []byte(t.Text()))
+	case "csv":
+		var b bytes.Buffer
+		if err := log.WriteCSV(&b); err != nil {
+			return err
+		}
+		return write(defaultPath(out, base+".trace.csv"), b.Bytes())
+	case "log":
+		fmt.Println()
+		if _, err := log.WriteTo(os.Stdout); err != nil {
+			return err
+		}
+		fmt.Println()
+		fmt.Print(log.Gantt(72))
+		return nil
 	default:
-		return fmt.Errorf("unknown export format %q (want perfetto or text)", export)
+		return fmt.Errorf("unknown export format %q (want perfetto, text, csv or log)", format)
 	}
 }
 

@@ -1,6 +1,7 @@
 package unimwcas_test
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -224,6 +225,47 @@ func TestFigure4(t *testing.T) {
 			t.Errorf("Status[4] = %d, want 1 (invalid)", got)
 		}
 	})
+}
+
+// Example_figure4 replays the paper's Figure 4, insets (d)/(f): process 4
+// performs MWCAS on words x, y, z (old/new 12/5, 22/10, 8/17); process 9
+// preempts it after its first phase and writes 56 to z, so process 4's
+// operation fails and restores x and y.
+func Example_figure4() {
+	s := sched.New(sched.Config{Processors: 1, Seed: 1, MemWords: 1 << 12})
+	obj, err := unimwcas.New(s.Mem(), 10, 3)
+	if err != nil {
+		panic(err)
+	}
+	base := s.Mem().MustAlloc("xyz", 3)
+	words := []shmem.Addr{base, base + 1, base + 2}
+	for i, v := range []uint32{12, 22, 8} {
+		obj.InitWord(words[i], v)
+	}
+	show := func(when string) {
+		fmt.Printf("%-18s x=%-3d y=%-3d z=%-3d Status[4]=%d Status[9]=%d\n", when,
+			obj.Val(words[0]), obj.Val(words[1]), obj.Val(words[2]),
+			s.Mem().Peek(obj.StatusAddr(4)), s.Mem().Peek(obj.StatusAddr(9)))
+	}
+	show("initial:")
+	var ok4, ok9 bool
+	s.Spawn(sched.JobSpec{Name: "proc4", CPU: 0, Prio: 4, Slot: 4, AfterSlices: -1, Body: func(e *sched.Env) {
+		ok4 = obj.MWCAS(e, words, []uint32{12, 22, 8}, []uint32{5, 10, 17})
+	}})
+	s.Spawn(sched.JobSpec{Name: "proc9", CPU: 0, Prio: 9, Slot: 9, AfterSlices: 13, Body: func(e *sched.Env) {
+		ok9 = obj.MWCAS(e, []shmem.Addr{words[2]}, []uint32{8}, []uint32{56})
+	}})
+	if err := s.Run(); err != nil {
+		panic(err)
+	}
+	show("final:")
+	fmt.Printf("proc4 MWCAS(x,y,z: 12,22,8 -> 5,10,17) = %v (interfered with on z)\n", ok4)
+	fmt.Printf("proc9 MWCAS(z: 8 -> 56)               = %v\n", ok9)
+	// Output:
+	// initial:           x=12  y=22  z=8   Status[4]=0 Status[9]=0
+	// final:             x=12  y=22  z=56  Status[4]=1 Status[9]=2
+	// proc4 MWCAS(x,y,z: 12,22,8 -> 5,10,17) = false (interfered with on z)
+	// proc9 MWCAS(z: 8 -> 56)               = true
 }
 
 // TestReadSeesOldValueDuringPendingOp: a higher-priority reader preempting

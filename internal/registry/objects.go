@@ -685,7 +685,7 @@ func init() {
 		},
 	})
 
-	// Baselines. They answer the same op model so the workload harness and
+	// Baselines. They answer the same op model so the §3.4 burst runs and
 	// report sweeps treat them uniformly; wfcheck's schedule sweeps cover
 	// the core objects only (the spin-lock list livelocks by design under
 	// priority preemption — that is the paper's motivating failure).

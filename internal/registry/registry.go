@@ -3,9 +3,8 @@
 // everything the driver layers need — a constructor over (sim, Config), a
 // deterministic operation generator, a sequential model for linearizability
 // checking, and the object's named-scenario recipe. internal/scenario,
-// internal/workload, cmd/wfbench, cmd/wfcheck and cmd/wftrace all drive
-// through it, so adding an object means writing one descriptor, not
-// touching five tools.
+// cmd/wfbench, cmd/wfcheck and cmd/wftrace all drive through it, so adding
+// an object means writing one descriptor, not touching four tools.
 //
 // The paper's Section 4 claim is per-object-family ("queues, stacks, and
 // hash tables are just as straightforward to implement as linked lists");
@@ -137,8 +136,7 @@ type Result struct {
 }
 
 // List is the op surface shared by the list family — the wait-free lists,
-// the hash tables, and the lock-free / lock-based baselines. It is the
-// interface internal/workload measures through.
+// the hash tables, and the lock-free / lock-based baselines.
 type List interface {
 	Insert(e shmem.Ctx, key, val uint64) bool
 	Delete(e shmem.Ctx, key uint64) bool
@@ -323,7 +321,7 @@ func All() []*Descriptor {
 
 // Normalize applies the shared defaults to cfg and validates the
 // processor/process combination; every constructor path (registry, facade,
-// workload) funnels through it, so an invalid combination is rejected with
+// scenario) funnels through it, so an invalid combination is rejected with
 // the one ErrProcConfig message everywhere.
 func (d *Descriptor) Normalize(b Backend, cfg *Config) error {
 	if cfg.Capacity == 0 {

@@ -1,10 +1,19 @@
-// Package scenario builds small, named, reproducible runs of the paper's
-// objects for inspection tooling. Where internal/workload drives throughput
-// experiments, a scenario is the opposite: a handful of processes with a
-// deterministic preemption pattern, sized so a human can read the resulting
-// trace. cmd/wftrace loads one by (object, seed, pattern) and renders its
-// span model; the tests in this package pin down that the same triple
-// always yields byte-identical traces.
+// Package scenario builds every simulated run of the paper's objects that
+// the tools drive by name, in two sizes, both on registry instances.
+//
+// Run builds small, named, reproducible runs for inspection tooling: a
+// handful of processes with a deterministic preemption pattern, sized so a
+// human can read the resulting trace. cmd/wftrace loads one by (object,
+// seed, pattern) and renders its span model or, with -export log, the
+// event log and Gantt chart (the paper's Figure 2 for unilist/stagger);
+// the tests in this package pin down that the same triple always yields
+// byte-identical traces.
+//
+// RunList and RunMWCAS are the Section 3.4 burst runs (bursts.go): many
+// operations on one shared object under priority-preemption bursts,
+// measured for total time, worst case and retries. cmd/wfbench's sec34,
+// retries, mwcas and report experiments and wfcheck's workload suite run
+// them.
 //
 // The object set, instance construction and op scripts all come from
 // internal/registry: every core descriptor carries a ScenarioSpec, so a new

@@ -197,7 +197,7 @@ type wfScratch struct {
 // read-compute-MWCAS transaction around it retries only when another
 // process committed a conflicting transition in between, so retries are
 // bounded by the other processes' own throughput (the Section 3.1 usage
-// pattern, same as internal/workload's MWCAS suite). The cap turns the
+// pattern, same as the MWCAS burst run in internal/scenario). The cap turns the
 // theoretical tail into a hard guarantee: a request that loses slots(cap)
 // races in a row reports Applied=false and the driver counts it as lost.
 func wfRetryCap(slots int) int { return 8 + 4*slots }

@@ -36,9 +36,9 @@ import (
 	"repro/internal/helping"
 	"repro/internal/prim"
 	"repro/internal/registry"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/shmem"
-	"repro/internal/workload"
 )
 
 // ErrProcConfig is the shared rejection for invalid Processors/Procs
@@ -235,28 +235,28 @@ func (o *MultiMWCAS) Read(e Ctx, a Addr) uint64 { return o.Object.ReadWord(e, a)
 // Experiment harness, re-exported for benchmarks and tools.
 type (
 	// ListExperiment parameterizes a Section 3.4 style run.
-	ListExperiment = workload.ListConfig
+	ListExperiment = scenario.ListConfig
 	// ListExperimentResult is its measured outcome.
-	ListExperimentResult = workload.ListResult
+	ListExperimentResult = scenario.ListResult
 	// ListKind selects the implementation under test.
-	ListKind = workload.Kind
+	ListKind = scenario.ListKind
 )
 
 // The list implementations the experiment harness can run.
 const (
 	// KindWaitFree is the multiprocessor wait-free list (Figure 7).
-	KindWaitFree = workload.WaitFree
+	KindWaitFree = scenario.WaitFree
 	// KindWaitFreeUni is the uniprocessor wait-free list (Figure 5).
-	KindWaitFreeUni = workload.WaitFreeUni
+	KindWaitFreeUni = scenario.WaitFreeUni
 	// KindLockFreeGC is the Greenwald–Cheriton CAS2 lock-free list [7].
-	KindLockFreeGC = workload.LockFreeGC
+	KindLockFreeGC = scenario.LockFreeGC
 	// KindCASOnly is the Valois-lineage CAS-only lock-free list [13].
-	KindCASOnly = workload.CASOnly
+	KindCASOnly = scenario.CASOnly
 	// KindLockBased is the spin-lock list (priority-inversion prone).
-	KindLockBased = workload.LockBased
+	KindLockBased = scenario.LockBased
 )
 
 // RunListExperiment executes one experiment run.
 func RunListExperiment(cfg ListExperiment) (*ListExperimentResult, error) {
-	return workload.RunList(cfg)
+	return scenario.RunList(cfg)
 }
