@@ -67,8 +67,12 @@ grep -q "curve" artifacts/wfcheck_cover_serial.txt
 # Byte-identity goldens, pinned before the simulator fast path (run-ahead
 # slice batching, heap ready queues, Sim pooling, zero-alloc tracing)
 # landed: the optimized core must not change one observable byte of the
-# sweep output, the wftrace text rendering, or the run reports.
+# sweep output, the wftrace text rendering, or the run reports. The full
+# checked sweep (-max 120 -cover, every object's white-box checker armed)
+# is pinned too.
 cmp testdata/golden/wfcheck_max40.txt artifacts/wfcheck_serial.txt
+go run ./cmd/wfcheck -max 120 -cover -par 0 > artifacts/wfcheck_max120_cover.txt
+cmp testdata/golden/wfcheck_max120_cover.txt artifacts/wfcheck_max120_cover.txt
 go run ./cmd/wftrace -object unilist -seed 1 -pattern stagger > artifacts/wftrace_unilist_stagger.txt
 cmp testdata/golden/wftrace_unilist_stagger.txt artifacts/wftrace_unilist_stagger.txt
 mkdir -p artifacts/report

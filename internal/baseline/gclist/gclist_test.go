@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/arena"
 	"repro/internal/baseline/gclist"
-	"repro/internal/check"
+	"repro/internal/registry"
 	"repro/internal/sched"
 )
 
@@ -79,7 +79,7 @@ func TestStressWithChecker(t *testing.T) {
 		)
 		fx := newFixture(t, sched.Config{Processors: nCPU, Seed: seed, MemWords: 1 << 17},
 			nProcs, 256, []uint64{2, 4, 6})
-		chk := check.NewMultiListChecker(fx.list, fx.sim.Mem())
+		chk := registry.NewStructChecker(registry.ModelSorted, fx.list, fx.sim.Mem())
 		rng := fx.sim.Rand()
 		for p := 0; p < nProcs; p++ {
 			p := p
@@ -92,16 +92,16 @@ func TestStressWithChecker(t *testing.T) {
 						var ok bool
 						switch e.Rand().Intn(3) {
 						case 0:
-							chk.BeginOp(p, check.ListIns, key)
+							chk.Begin(p, registry.Op{Code: registry.OpInsert, Key: key})
 							ok = fx.list.Insert(e, key, key)
 						case 1:
-							chk.BeginOp(p, check.ListDel, key)
+							chk.Begin(p, registry.Op{Code: registry.OpDelete, Key: key})
 							ok = fx.list.Delete(e, key)
 						default:
-							chk.BeginOp(p, check.ListSch, key)
+							chk.Begin(p, registry.Op{Code: registry.OpSearch, Key: key})
 							ok = fx.list.Search(e, key)
 						}
-						chk.EndOp(p, ok)
+						chk.End(p, registry.Result{OK: ok})
 					}
 				},
 			})

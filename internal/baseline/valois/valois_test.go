@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/arena"
 	"repro/internal/baseline/valois"
-	"repro/internal/check"
+	"repro/internal/registry"
 	"repro/internal/sched"
 )
 
@@ -71,7 +71,7 @@ func TestStressWithChecker(t *testing.T) {
 		)
 		s := sched.New(sched.Config{Processors: nCPU, Seed: seed, MemWords: 1 << 18})
 		_, l := newList(t, s, nProcs, 1024, []uint64{2, 4, 6})
-		chk := check.NewMultiListChecker(l, s.Mem())
+		chk := registry.NewStructChecker(registry.ModelSorted, l, s.Mem())
 		rng := s.Rand()
 		for p := 0; p < nProcs; p++ {
 			p := p
@@ -84,16 +84,16 @@ func TestStressWithChecker(t *testing.T) {
 						var ok bool
 						switch e.Rand().Intn(3) {
 						case 0:
-							chk.BeginOp(p, check.ListIns, key)
+							chk.Begin(p, registry.Op{Code: registry.OpInsert, Key: key})
 							ok = l.Insert(e, key, key)
 						case 1:
-							chk.BeginOp(p, check.ListDel, key)
+							chk.Begin(p, registry.Op{Code: registry.OpDelete, Key: key})
 							ok = l.Delete(e, key)
 						default:
-							chk.BeginOp(p, check.ListSch, key)
+							chk.Begin(p, registry.Op{Code: registry.OpSearch, Key: key})
 							ok = l.Search(e, key)
 						}
-						chk.EndOp(p, ok)
+						chk.End(p, registry.Result{OK: ok})
 					}
 				},
 			})

@@ -6,10 +6,10 @@ import (
 	"testing/quick"
 
 	"repro/internal/arena"
-	"repro/internal/check"
 	"repro/internal/core/multihash"
 	"repro/internal/helping"
 	"repro/internal/prim"
+	"repro/internal/registry"
 	"repro/internal/sched"
 )
 
@@ -110,7 +110,7 @@ func TestStressAllVariants(t *testing.T) {
 					fx := newFixture(t, sched.Config{Processors: nCPU, Seed: seed, MemWords: 1 << 17},
 						multihash.Config{Processors: nCPU, Procs: nProcs, Buckets: 4, CC: cc, Mode: mode},
 						256, []uint64{2, 5, 9})
-					chk := check.NewMultiListChecker(fx.tb, fx.sim.Mem())
+					chk := registry.NewStructChecker(registry.ModelSorted, fx.tb, fx.sim.Mem())
 					rng := fx.sim.Rand()
 					for p := 0; p < nProcs; p++ {
 						p := p
@@ -123,16 +123,16 @@ func TestStressAllVariants(t *testing.T) {
 									var ok bool
 									switch e.Rand().Intn(3) {
 									case 0:
-										chk.BeginOp(p, check.ListIns, key)
+										chk.Begin(p, registry.Op{Code: registry.OpInsert, Key: key})
 										ok = fx.tb.Insert(e, key, key)
 									case 1:
-										chk.BeginOp(p, check.ListDel, key)
+										chk.Begin(p, registry.Op{Code: registry.OpDelete, Key: key})
 										ok = fx.tb.Delete(e, key)
 									default:
-										chk.BeginOp(p, check.ListSch, key)
+										chk.Begin(p, registry.Op{Code: registry.OpSearch, Key: key})
 										ok = fx.tb.Search(e, key)
 									}
-									chk.EndOp(p, ok)
+									chk.End(p, registry.Result{OK: ok})
 								}
 							},
 						})

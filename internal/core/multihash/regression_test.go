@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/arena"
-	"repro/internal/check"
 	"repro/internal/core/multihash"
 	"repro/internal/helping"
+	"repro/internal/registry"
 	"repro/internal/sched"
 )
 
@@ -39,7 +39,7 @@ func TestAnnounceSplitPreemption(t *testing.T) {
 		t.Fatal(err)
 	}
 	ar.Freeze()
-	chk := check.NewMultiListChecker(tb, s.Mem())
+	chk := registry.NewStructChecker(registry.ModelSorted, tb, s.Mem())
 	rng := s.Rand()
 	for p := 0; p < nProcs; p++ {
 		p := p
@@ -52,16 +52,16 @@ func TestAnnounceSplitPreemption(t *testing.T) {
 					var ok bool
 					switch e.Rand().Intn(3) {
 					case 0:
-						chk.BeginOp(p, check.ListIns, key)
+						chk.Begin(p, registry.Op{Code: registry.OpInsert, Key: key})
 						ok = tb.Insert(e, key, key)
 					case 1:
-						chk.BeginOp(p, check.ListDel, key)
+						chk.Begin(p, registry.Op{Code: registry.OpDelete, Key: key})
 						ok = tb.Delete(e, key)
 					default:
-						chk.BeginOp(p, check.ListSch, key)
+						chk.Begin(p, registry.Op{Code: registry.OpSearch, Key: key})
 						ok = tb.Search(e, key)
 					}
-					chk.EndOp(p, ok)
+					chk.End(p, registry.Result{OK: ok})
 				}
 			},
 		})

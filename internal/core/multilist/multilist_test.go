@@ -6,10 +6,10 @@ import (
 	"testing/quick"
 
 	"repro/internal/arena"
-	"repro/internal/check"
 	"repro/internal/core/multilist"
 	"repro/internal/helping"
 	"repro/internal/prim"
+	"repro/internal/registry"
 	"repro/internal/sched"
 )
 
@@ -145,7 +145,7 @@ func runStress(t *testing.T, seed int64, cc prim.Impl, mode helping.Mode, stride
 	fx := newFixture(t, sched.Config{Processors: nCPU, Seed: seed, MemWords: 1 << 17},
 		multilist.Config{Processors: nCPU, Procs: nProcs, CC: cc, Mode: mode, Stride: stride},
 		256, []uint64{2, 4, 6, 8})
-	chk := check.NewMultiListChecker(fx.list, fx.sim.Mem())
+	chk := registry.NewStructChecker(registry.ModelSorted, fx.list, fx.sim.Mem())
 	rng := fx.sim.Rand()
 	for p := 0; p < nProcs; p++ {
 		p := p
@@ -158,16 +158,16 @@ func runStress(t *testing.T, seed int64, cc prim.Impl, mode helping.Mode, stride
 					var ok bool
 					switch e.Rand().Intn(3) {
 					case 0:
-						chk.BeginOp(p, check.ListIns, key)
+						chk.Begin(p, registry.Op{Code: registry.OpInsert, Key: key})
 						ok = fx.list.Insert(e, key, key)
 					case 1:
-						chk.BeginOp(p, check.ListDel, key)
+						chk.Begin(p, registry.Op{Code: registry.OpDelete, Key: key})
 						ok = fx.list.Delete(e, key)
 					default:
-						chk.BeginOp(p, check.ListSch, key)
+						chk.Begin(p, registry.Op{Code: registry.OpSearch, Key: key})
 						ok = fx.list.Search(e, key)
 					}
-					chk.EndOp(p, ok)
+					chk.End(p, registry.Result{OK: ok})
 				}
 			},
 		})

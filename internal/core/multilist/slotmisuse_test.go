@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/arena"
-	"repro/internal/check"
 	"repro/internal/core/multilist"
+	"repro/internal/registry"
 	"repro/internal/sched"
 )
 
@@ -27,14 +27,14 @@ func TestConcurrentSlotSharingDetected(t *testing.T) {
 			t.Fatal(err)
 		}
 		ar.Freeze()
-		chk := check.NewMultiListChecker(l, s.Mem())
+		chk := registry.NewStructChecker(registry.ModelSorted, l, s.Mem())
 		body := func(base uint64) func(*sched.Env) {
 			return func(e *sched.Env) {
 				for i := uint64(0); i < 10; i++ {
 					key := base + i
-					chk.BeginOp(int(base), check.ListIns, key)
+					chk.Begin(int(base), registry.Op{Code: registry.OpInsert, Key: key})
 					ok := l.Insert(e, key, key)
-					chk.EndOp(int(base), ok)
+					chk.End(int(base), registry.Result{OK: ok})
 				}
 			}
 		}

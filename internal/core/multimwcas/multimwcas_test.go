@@ -5,10 +5,10 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/check"
 	"repro/internal/core/multimwcas"
 	"repro/internal/helping"
 	"repro/internal/prim"
+	"repro/internal/registry"
 	"repro/internal/sched"
 	"repro/internal/shmem"
 )
@@ -120,7 +120,7 @@ func runStress(t *testing.T, seed int64, cc prim.Impl, mode helping.Mode) {
 	)
 	fx := newFixture(t, sched.Config{Processors: nCPU, Seed: seed, MemWords: 1 << 16},
 		multimwcas.Config{Processors: nCPU, Procs: nProcs, Width: nWords, CC: cc, Mode: mode}, nWords)
-	chk := check.NewMultiMWCASChecker(fx.obj, fx.sim.Mem(), nProcs, fx.words)
+	chk := registry.NewMultiMWCASChecker(fx.obj, fx.sim.Mem(), nProcs, fx.words)
 	rng := fx.sim.Rand()
 	for p := 0; p < nProcs; p++ {
 		p := p

@@ -6,10 +6,10 @@ import (
 	"testing/quick"
 
 	"repro/internal/arena"
-	"repro/internal/check"
 	"repro/internal/core/multiqueue"
 	"repro/internal/helping"
 	"repro/internal/prim"
+	"repro/internal/registry"
 	"repro/internal/sched"
 )
 
@@ -87,7 +87,7 @@ func runStress(t *testing.T, seed int64, cc prim.Impl, mode helping.Mode) {
 	)
 	fx := newFixture(t, sched.Config{Processors: nCPU, Seed: seed, MemWords: 1 << 17},
 		multiqueue.Config{Processors: nCPU, Procs: nProcs, CC: cc, Mode: mode}, 256)
-	chk := check.NewFIFOChecker(fx.q, fx.sim.Mem())
+	chk := registry.NewStructChecker(registry.ModelFIFO, fx.q, fx.sim.Mem())
 	rng := fx.sim.Rand()
 	for p := 0; p < nProcs; p++ {
 		p := p
@@ -98,13 +98,13 @@ func runStress(t *testing.T, seed int64, cc prim.Impl, mode helping.Mode) {
 				for op := 0; op < nOps; op++ {
 					if e.Rand().Intn(2) == 0 {
 						val := uint64(1000*p + op + 1) // unique per op
-						chk.BeginEnq(p, val)
+						chk.Begin(p, registry.Op{Code: registry.OpEnqueue, Val: val})
 						fx.q.Enqueue(e, val)
-						chk.EndEnq(p)
+						chk.End(p, registry.Result{OK: true})
 					} else {
-						chk.BeginDeq(p)
+						chk.Begin(p, registry.Op{Code: registry.OpDequeue})
 						v, ok := fx.q.Dequeue(e)
-						chk.EndDeq(p, v, ok)
+						chk.End(p, registry.Result{OK: ok, Val: v})
 					}
 				}
 			},

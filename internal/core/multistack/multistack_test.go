@@ -6,10 +6,10 @@ import (
 	"testing/quick"
 
 	"repro/internal/arena"
-	"repro/internal/check"
 	"repro/internal/core/multistack"
 	"repro/internal/helping"
 	"repro/internal/prim"
+	"repro/internal/registry"
 	"repro/internal/sched"
 )
 
@@ -74,7 +74,7 @@ func TestStressAllVariants(t *testing.T) {
 					)
 					fx := newFixture(t, sched.Config{Processors: nCPU, Seed: seed, MemWords: 1 << 17},
 						multistack.Config{Processors: nCPU, Procs: nProcs, CC: cc, Mode: mode}, 256)
-					chk := check.NewLIFOChecker(fx.st, fx.sim.Mem())
+					chk := registry.NewStructChecker(registry.ModelLIFO, fx.st, fx.sim.Mem())
 					rng := fx.sim.Rand()
 					for p := 0; p < nProcs; p++ {
 						p := p
@@ -85,13 +85,13 @@ func TestStressAllVariants(t *testing.T) {
 								for op := 0; op < nOps; op++ {
 									if e.Rand().Intn(2) == 0 {
 										val := uint64(1000*p + op + 1)
-										chk.BeginPush(p, val)
+										chk.Begin(p, registry.Op{Code: registry.OpPush, Val: val})
 										fx.st.Push(e, val)
-										chk.EndPush(p)
+										chk.End(p, registry.Result{OK: true})
 									} else {
-										chk.BeginPop(p)
+										chk.Begin(p, registry.Op{Code: registry.OpPop})
 										v, ok := fx.st.Pop(e)
-										chk.EndPop(p, v, ok)
+										chk.End(p, registry.Result{OK: ok, Val: v})
 									}
 								}
 							},

@@ -1,13 +1,12 @@
 package unihash_test
 
 import (
-	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/arena"
-	"repro/internal/check"
 	"repro/internal/core/unihash"
+	"repro/internal/registry"
 	"repro/internal/sched"
 )
 
@@ -75,39 +74,10 @@ func TestSequentialSemantics(t *testing.T) {
 
 // newChecker attaches a SerialChecker with a set model seeded from the
 // table's current contents.
-func newChecker(fx *fixture, n int) *check.SerialChecker {
-	model := map[uint64]bool{}
-	for _, k := range fx.tb.Snapshot() {
-		model[k] = true
-	}
-	return check.NewSerialChecker(fx.sim.Mem(), fx.tb.Engine().AnnPidAddr(), n,
-		func(p int) bool {
-			_, key, op := fx.tb.PeekPar(p)
-			switch op {
-			case 1: // insert
-				if model[key] {
-					return false
-				}
-				model[key] = true
-				return true
-			case 2: // delete
-				if model[key] {
-					delete(model, key)
-					return true
-				}
-				return false
-			default: // search
-				return model[key]
-			}
-		},
-		func() error {
-			want := make([]uint64, 0, len(model))
-			for k := range model {
-				want = append(want, k)
-			}
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			return check.SliceEqual(fx.tb.Snapshot(), want)
-		})
+func newChecker(fx *fixture, n int) *registry.SerialChecker {
+	model := registry.Lookup0("unihash").NewModel(registry.Config{SeedKeys: fx.tb.Snapshot()})
+	return registry.NewSerialChecker(fx.sim.Mem(), fx.tb.Engine().AnnPidAddr(), n, fx.tb,
+		model, registry.KeyedPeek(fx.tb))
 }
 
 // TestPreemptionPointSweep: adversaries at every slice, checked against the
@@ -117,16 +87,16 @@ func TestPreemptionPointSweep(t *testing.T) {
 		fx := newFixture(t, sched.Config{Processors: 1, Seed: 1}, 3, 4, 64, []uint64{5, 9})
 		chk := newChecker(fx, 3)
 		fx.sim.Spawn(sched.JobSpec{Name: "victim", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Body: func(e *sched.Env) {
-			chk.EndOp(0, fx.tb.Insert(e, 13, 1)) // collides with 5, 9 (mod 4 = 1)
-			chk.EndOp(0, fx.tb.Delete(e, 5))
+			chk.End(0, registry.Result{OK: fx.tb.Insert(e, 13, 1)}) // collides with 5, 9 (mod 4 = 1)
+			chk.End(0, registry.Result{OK: fx.tb.Delete(e, 5)})
 		}})
 		fx.sim.Spawn(sched.JobSpec{Name: "adv", CPU: 0, Prio: 5, Slot: 1, AfterSlices: k, Body: func(e *sched.Env) {
-			chk.EndOp(1, fx.tb.Insert(e, 17, 2)) // same bucket
-			chk.EndOp(1, fx.tb.Delete(e, 13))
+			chk.End(1, registry.Result{OK: fx.tb.Insert(e, 17, 2)}) // same bucket
+			chk.End(1, registry.Result{OK: fx.tb.Delete(e, 13)})
 		}})
 		fx.sim.Spawn(sched.JobSpec{Name: "adv2", CPU: 0, Prio: 9, Slot: 2, AfterSlices: k + 6, Body: func(e *sched.Env) {
-			chk.EndOp(2, fx.tb.Search(e, 9))
-			chk.EndOp(2, fx.tb.Insert(e, 10, 3)) // different bucket
+			chk.End(2, registry.Result{OK: fx.tb.Search(e, 9)})
+			chk.End(2, registry.Result{OK: fx.tb.Insert(e, 10, 3)}) // different bucket
 		}})
 		if err := fx.sim.Run(); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
@@ -162,7 +132,7 @@ func TestStressWithChecker(t *testing.T) {
 						default:
 							ok = fx.tb.Search(e, key)
 						}
-						chk.EndOp(p, ok)
+						chk.End(p, registry.Result{OK: ok})
 					}
 				},
 			})

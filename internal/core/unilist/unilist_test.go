@@ -5,8 +5,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/arena"
-	"repro/internal/check"
 	"repro/internal/core/unilist"
+	"repro/internal/registry"
 	"repro/internal/sched"
 )
 
@@ -15,6 +15,14 @@ type fixture struct {
 	sim  *sched.Sim
 	ar   *arena.Arena
 	list *unilist.List
+}
+
+// newChecker attaches a SerialChecker with the sorted-set model, seeded
+// from the list's current contents.
+func newChecker(fx *fixture, n int) *registry.SerialChecker {
+	model := registry.Lookup0("unilist").NewModel(registry.Config{SeedKeys: fx.list.Snapshot()})
+	return registry.NewSerialChecker(fx.sim.Mem(), fx.list.AnnPidAddr(), n, fx.list,
+		model, registry.KeyedPeek(fx.list))
 }
 
 func newFixture(t *testing.T, cfg sched.Config, n, nodes int) *fixture {
@@ -245,21 +253,21 @@ func TestPreemptionPointSweep(t *testing.T) {
 		t.Run(adv.name, func(t *testing.T) {
 			for k := int64(0); k < 90; k++ {
 				fx := newFixture(t, sched.Config{Processors: 1, Seed: 1}, 2, 32)
-				chk := check.NewUniListChecker(fx.list, fx.sim.Mem(), 2)
+				chk := newChecker(fx, 2)
 				// Seed the list with {5, 15} sequentially.
 				seedDone := false
 				fx.sim.Spawn(sched.JobSpec{Name: "victim", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Body: func(e *sched.Env) {
 					fx.list.Insert(e, 5, 0)
-					chk.EndOp(0, true)
+					chk.End(0, registry.Result{OK: true})
 					fx.list.Insert(e, 15, 0)
-					chk.EndOp(0, true)
+					chk.End(0, registry.Result{OK: true})
 					seedDone = true
 					ok := fx.list.Insert(e, 10, 1)
-					chk.EndOp(0, ok)
+					chk.End(0, registry.Result{OK: ok})
 				}})
 				fx.sim.Spawn(sched.JobSpec{Name: "adv", CPU: 0, Prio: 9, Slot: 1, AfterSlices: 60 + k, Body: func(e *sched.Env) {
 					ok := adv.run(fx.list, e)
-					chk.EndOp(1, ok)
+					chk.End(1, registry.Result{OK: ok})
 				}})
 				if err := fx.sim.Run(); err != nil {
 					t.Fatalf("k=%d: %v", k, err)
@@ -282,7 +290,7 @@ func TestStressWithChecker(t *testing.T) {
 	f := func(seed int64) bool {
 		const nProcs = 5
 		fx := newFixture(t, sched.Config{Processors: 1, Seed: seed, MemWords: 1 << 17}, nProcs, 256)
-		chk := check.NewUniListChecker(fx.list, fx.sim.Mem(), nProcs)
+		chk := newChecker(fx, nProcs)
 		rng := fx.sim.Rand()
 		for p := 0; p < nProcs; p++ {
 			p := p
@@ -301,7 +309,7 @@ func TestStressWithChecker(t *testing.T) {
 						default:
 							ok = fx.list.Search(e, key)
 						}
-						chk.EndOp(p, ok)
+						chk.End(p, registry.Result{OK: ok})
 					}
 				},
 			})

@@ -3,8 +3,8 @@ package unimwcas_test
 import (
 	"testing"
 
-	"repro/internal/check"
 	"repro/internal/core/unimwcas"
+	"repro/internal/registry"
 	"repro/internal/sched"
 	"repro/internal/shmem"
 )
@@ -36,7 +36,7 @@ func TestModelViolationAcrossProcessors(t *testing.T) {
 		for _, w := range words {
 			obj.InitWord(w, 0)
 		}
-		chk := check.NewMWCASChecker(obj, s.Mem(), words)
+		chk := registry.NewMWCASChecker(obj, s.Mem(), words)
 		body := func(p int) func(*sched.Env) {
 			return func(e *sched.Env) {
 				for op := 0; op < 20; op++ {

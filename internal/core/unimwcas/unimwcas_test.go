@@ -5,8 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/check"
 	"repro/internal/core/unimwcas"
+	"repro/internal/registry"
 	"repro/internal/sched"
 	"repro/internal/shmem"
 )
@@ -338,7 +338,7 @@ func TestStressWithChecker(t *testing.T) {
 		)
 		fx := newFixture(t, sched.Config{Processors: 1, Seed: seed, MemWords: 1 << 14},
 			nProcs, nWords, nWords, []uint32{0, 0, 0, 0, 0})
-		chk := check.NewMWCASChecker(fx.obj, fx.sim.Mem(), fx.words)
+		chk := registry.NewMWCASChecker(fx.obj, fx.sim.Mem(), fx.words)
 		rng := fx.sim.Rand()
 		for p := 0; p < nProcs; p++ {
 			p := p

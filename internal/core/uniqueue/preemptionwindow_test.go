@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/check"
 	"repro/internal/explore"
+	"repro/internal/registry"
 	"repro/internal/sched"
 )
 
@@ -20,30 +20,30 @@ func TestPreemptionWindowSweepFIFO(t *testing.T) {
 	n, err := explore.Sweep(explore.Config{Adversaries: 2, Max: 30, Gap: 8},
 		func(rel []int64) error {
 			fx := newFixture(t, sched.Config{Processors: 1, Seed: 1}, 3, 32)
-			chk := check.NewFIFOChecker(fx.q, fx.sim.Mem())
+			chk := registry.NewStructChecker(registry.ModelFIFO, fx.q, fx.sim.Mem())
 			fx.sim.Spawn(sched.JobSpec{Name: "victim", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Body: func(e *sched.Env) {
-				chk.BeginEnq(0, 100)
+				chk.Begin(0, registry.Op{Code: registry.OpEnqueue, Val: 100})
 				fx.q.Enqueue(e, 100)
-				chk.EndEnq(0)
-				chk.BeginEnq(0, 200)
+				chk.End(0, registry.Result{OK: true})
+				chk.Begin(0, registry.Op{Code: registry.OpEnqueue, Val: 200})
 				fx.q.Enqueue(e, 200)
-				chk.EndEnq(0)
-				chk.BeginDeq(0)
+				chk.End(0, registry.Result{OK: true})
+				chk.Begin(0, registry.Op{Code: registry.OpDequeue})
 				v, ok := fx.q.Dequeue(e)
-				chk.EndDeq(0, v, ok)
+				chk.End(0, registry.Result{OK: ok, Val: v})
 			}})
 			fx.sim.Spawn(sched.JobSpec{Name: "adv", CPU: 0, Prio: 5, Slot: 1, AfterSlices: rel[0], Body: func(e *sched.Env) {
-				chk.BeginEnq(1, 300)
+				chk.Begin(1, registry.Op{Code: registry.OpEnqueue, Val: 300})
 				fx.q.Enqueue(e, 300)
-				chk.EndEnq(1)
-				chk.BeginDeq(1)
+				chk.End(1, registry.Result{OK: true})
+				chk.Begin(1, registry.Op{Code: registry.OpDequeue})
 				v, ok := fx.q.Dequeue(e)
-				chk.EndDeq(1, v, ok)
+				chk.End(1, registry.Result{OK: ok, Val: v})
 			}})
 			fx.sim.Spawn(sched.JobSpec{Name: "adv2", CPU: 0, Prio: 9, Slot: 2, AfterSlices: rel[1], Body: func(e *sched.Env) {
-				chk.BeginDeq(2)
+				chk.Begin(2, registry.Op{Code: registry.OpDequeue})
 				v, ok := fx.q.Dequeue(e)
-				chk.EndDeq(2, v, ok)
+				chk.End(2, registry.Result{OK: ok, Val: v})
 			}})
 			if err := fx.sim.Run(); err != nil {
 				return err

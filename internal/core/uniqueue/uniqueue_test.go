@@ -5,8 +5,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/arena"
-	"repro/internal/check"
 	"repro/internal/core/uniqueue"
+	"repro/internal/registry"
 	"repro/internal/sched"
 )
 
@@ -99,23 +99,10 @@ func TestNodeConservation(t *testing.T) {
 }
 
 // newChecker attaches a SerialChecker with a FIFO model.
-func newChecker(fx *fixture, n int) *check.SerialChecker {
-	var model []uint64
-	return check.NewSerialChecker(fx.sim.Mem(), fx.q.Engine().AnnPidAddr(), n,
-		func(p int) bool {
-			node, op := fx.q.PeekPar(p)
-			if op == 1 { // enqueue
-				val := fx.sim.Mem().Peek(fx.ar.ValAddr(arena.Ref(node)))
-				model = append(model, val)
-				return true
-			}
-			if len(model) == 0 {
-				return false
-			}
-			model = model[1:]
-			return true
-		},
-		func() error { return check.SliceEqual(fx.q.Snapshot(), model) })
+func newChecker(fx *fixture, n int) *registry.SerialChecker {
+	return registry.NewSerialChecker(fx.sim.Mem(), fx.q.Engine().AnnPidAddr(), n, fx.q,
+		registry.Lookup0("uniqueue").NewModel(registry.Config{}),
+		registry.ValuePeek(fx.sim.Mem(), fx.ar, registry.ModelFIFO, fx.q))
 }
 
 // TestPreemptionPointSweep releases higher-priority adversaries at every
@@ -128,21 +115,21 @@ func TestPreemptionPointSweep(t *testing.T) {
 		chk := newChecker(fx, 3)
 		fx.sim.Spawn(sched.JobSpec{Name: "victim", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Body: func(e *sched.Env) {
 			fx.q.Enqueue(e, 100)
-			chk.EndOp(0, true)
+			chk.End(0, registry.Result{OK: true})
 			fx.q.Enqueue(e, 200)
-			chk.EndOp(0, true)
-			_, ok := fx.q.Dequeue(e)
-			chk.EndOp(0, ok)
+			chk.End(0, registry.Result{OK: true})
+			v, ok := fx.q.Dequeue(e)
+			chk.End(0, registry.Result{OK: ok, Val: v})
 		}})
 		fx.sim.Spawn(sched.JobSpec{Name: "adv", CPU: 0, Prio: 5, Slot: 1, AfterSlices: k, Body: func(e *sched.Env) {
 			fx.q.Enqueue(e, 300)
-			chk.EndOp(1, true)
-			_, ok := fx.q.Dequeue(e)
-			chk.EndOp(1, ok)
+			chk.End(1, registry.Result{OK: true})
+			v, ok := fx.q.Dequeue(e)
+			chk.End(1, registry.Result{OK: ok, Val: v})
 		}})
 		fx.sim.Spawn(sched.JobSpec{Name: "adv2", CPU: 0, Prio: 9, Slot: 2, AfterSlices: k + 7, Body: func(e *sched.Env) {
-			_, ok := fx.q.Dequeue(e)
-			chk.EndOp(2, ok)
+			v, ok := fx.q.Dequeue(e)
+			chk.End(2, registry.Result{OK: ok, Val: v})
 		}})
 		if err := fx.sim.Run(); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
@@ -171,10 +158,10 @@ func TestStressWithChecker(t *testing.T) {
 					for op := 0; op < 10; op++ {
 						if e.Rand().Intn(2) == 0 {
 							fx.q.Enqueue(e, uint64(100*p+op))
-							chk.EndOp(p, true)
+							chk.End(p, registry.Result{OK: true})
 						} else {
-							_, ok := fx.q.Dequeue(e)
-							chk.EndOp(p, ok)
+							v, ok := fx.q.Dequeue(e)
+							chk.End(p, registry.Result{OK: ok, Val: v})
 						}
 					}
 				},

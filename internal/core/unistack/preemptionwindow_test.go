@@ -3,8 +3,8 @@ package unistack_test
 import (
 	"testing"
 
-	"repro/internal/check"
 	"repro/internal/explore"
+	"repro/internal/registry"
 	"repro/internal/sched"
 )
 
@@ -18,30 +18,30 @@ func TestPreemptionWindowSweepLIFO(t *testing.T) {
 	n, err := explore.Sweep(explore.Config{Adversaries: 2, Max: 30, Gap: 8},
 		func(rel []int64) error {
 			fx := newFixture(t, sched.Config{Processors: 1, Seed: 1}, 3, 32)
-			chk := check.NewLIFOChecker(fx.st, fx.sim.Mem())
+			chk := registry.NewStructChecker(registry.ModelLIFO, fx.st, fx.sim.Mem())
 			fx.sim.Spawn(sched.JobSpec{Name: "victim", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Body: func(e *sched.Env) {
-				chk.BeginPush(0, 100)
+				chk.Begin(0, registry.Op{Code: registry.OpPush, Val: 100})
 				fx.st.Push(e, 100)
-				chk.EndPush(0)
-				chk.BeginPush(0, 200)
+				chk.End(0, registry.Result{OK: true})
+				chk.Begin(0, registry.Op{Code: registry.OpPush, Val: 200})
 				fx.st.Push(e, 200)
-				chk.EndPush(0)
-				chk.BeginPop(0)
+				chk.End(0, registry.Result{OK: true})
+				chk.Begin(0, registry.Op{Code: registry.OpPop})
 				v, ok := fx.st.Pop(e)
-				chk.EndPop(0, v, ok)
+				chk.End(0, registry.Result{OK: ok, Val: v})
 			}})
 			fx.sim.Spawn(sched.JobSpec{Name: "adv", CPU: 0, Prio: 5, Slot: 1, AfterSlices: rel[0], Body: func(e *sched.Env) {
-				chk.BeginPush(1, 300)
+				chk.Begin(1, registry.Op{Code: registry.OpPush, Val: 300})
 				fx.st.Push(e, 300)
-				chk.EndPush(1)
-				chk.BeginPop(1)
+				chk.End(1, registry.Result{OK: true})
+				chk.Begin(1, registry.Op{Code: registry.OpPop})
 				v, ok := fx.st.Pop(e)
-				chk.EndPop(1, v, ok)
+				chk.End(1, registry.Result{OK: ok, Val: v})
 			}})
 			fx.sim.Spawn(sched.JobSpec{Name: "adv2", CPU: 0, Prio: 9, Slot: 2, AfterSlices: rel[1], Body: func(e *sched.Env) {
-				chk.BeginPop(2)
+				chk.Begin(2, registry.Op{Code: registry.OpPop})
 				v, ok := fx.st.Pop(e)
-				chk.EndPop(2, v, ok)
+				chk.End(2, registry.Result{OK: ok, Val: v})
 			}})
 			if err := fx.sim.Run(); err != nil {
 				return err

@@ -5,8 +5,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/arena"
-	"repro/internal/check"
 	"repro/internal/core/unistack"
+	"repro/internal/registry"
 	"repro/internal/sched"
 )
 
@@ -75,23 +75,10 @@ func TestNodeConservation(t *testing.T) {
 }
 
 // newChecker attaches a SerialChecker with a LIFO model.
-func newChecker(fx *fixture, n int) *check.SerialChecker {
-	var model []uint64 // model[0] is the top
-	return check.NewSerialChecker(fx.sim.Mem(), fx.st.Engine().AnnPidAddr(), n,
-		func(p int) bool {
-			node, op := fx.st.PeekPar(p)
-			if op == 1 { // push
-				val := fx.sim.Mem().Peek(fx.ar.ValAddr(arena.Ref(node)))
-				model = append([]uint64{val}, model...)
-				return true
-			}
-			if len(model) == 0 {
-				return false
-			}
-			model = model[1:]
-			return true
-		},
-		func() error { return check.SliceEqual(fx.st.Snapshot(), model) })
+func newChecker(fx *fixture, n int) *registry.SerialChecker {
+	return registry.NewSerialChecker(fx.sim.Mem(), fx.st.Engine().AnnPidAddr(), n, fx.st,
+		registry.Lookup0("unistack").NewModel(registry.Config{}),
+		registry.ValuePeek(fx.sim.Mem(), fx.ar, registry.ModelLIFO, fx.st))
 }
 
 // TestPreemptionPointSweep: adversaries at every slice, fully checked.
@@ -101,21 +88,21 @@ func TestPreemptionPointSweep(t *testing.T) {
 		chk := newChecker(fx, 3)
 		fx.sim.Spawn(sched.JobSpec{Name: "victim", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Body: func(e *sched.Env) {
 			fx.st.Push(e, 100)
-			chk.EndOp(0, true)
+			chk.End(0, registry.Result{OK: true})
 			fx.st.Push(e, 200)
-			chk.EndOp(0, true)
-			_, ok := fx.st.Pop(e)
-			chk.EndOp(0, ok)
+			chk.End(0, registry.Result{OK: true})
+			v, ok := fx.st.Pop(e)
+			chk.End(0, registry.Result{OK: ok, Val: v})
 		}})
 		fx.sim.Spawn(sched.JobSpec{Name: "adv", CPU: 0, Prio: 5, Slot: 1, AfterSlices: k, Body: func(e *sched.Env) {
 			fx.st.Push(e, 300)
-			chk.EndOp(1, true)
-			_, ok := fx.st.Pop(e)
-			chk.EndOp(1, ok)
+			chk.End(1, registry.Result{OK: true})
+			v, ok := fx.st.Pop(e)
+			chk.End(1, registry.Result{OK: ok, Val: v})
 		}})
 		fx.sim.Spawn(sched.JobSpec{Name: "adv2", CPU: 0, Prio: 9, Slot: 2, AfterSlices: k + 5, Body: func(e *sched.Env) {
-			_, ok := fx.st.Pop(e)
-			chk.EndOp(2, ok)
+			v, ok := fx.st.Pop(e)
+			chk.End(2, registry.Result{OK: ok, Val: v})
 		}})
 		if err := fx.sim.Run(); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
@@ -143,10 +130,10 @@ func TestStressWithChecker(t *testing.T) {
 					for op := 0; op < 10; op++ {
 						if e.Rand().Intn(2) == 0 {
 							fx.st.Push(e, uint64(100*p+op))
-							chk.EndOp(p, true)
+							chk.End(p, registry.Result{OK: true})
 						} else {
-							_, ok := fx.st.Pop(e)
-							chk.EndOp(p, ok)
+							v, ok := fx.st.Pop(e)
+							chk.End(p, registry.Result{OK: ok, Val: v})
 						}
 					}
 				},

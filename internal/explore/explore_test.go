@@ -7,9 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/arena"
-	"repro/internal/check"
 	"repro/internal/core/unistack"
 	"repro/internal/explore"
+	"repro/internal/registry"
 	"repro/internal/sched"
 )
 
@@ -147,34 +147,22 @@ func TestSweepDrivesRealScenario(t *testing.T) {
 				return err
 			}
 			ar.Freeze()
-			var model []uint64
-			chk := check.NewSerialChecker(s.Mem(), st.Engine().AnnPidAddr(), 3,
-				func(p int) bool {
-					node, op := st.PeekPar(p)
-					if op == 1 {
-						model = append([]uint64{s.Mem().Peek(ar.ValAddr(arena.Ref(node)))}, model...)
-						return true
-					}
-					if len(model) == 0 {
-						return false
-					}
-					model = model[1:]
-					return true
-				},
-				func() error { return check.SliceEqual(st.Snapshot(), model) })
+			chk := registry.NewSerialChecker(s.Mem(), st.Engine().AnnPidAddr(), 3, st,
+				registry.Lookup0("unistack").NewModel(registry.Config{}),
+				registry.ValuePeek(s.Mem(), ar, registry.ModelLIFO, st))
 			s.Spawn(sched.JobSpec{Name: "victim", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Body: func(e *sched.Env) {
 				st.Push(e, 100)
-				chk.EndOp(0, true)
-				_, ok := st.Pop(e)
-				chk.EndOp(0, ok)
+				chk.End(0, registry.Result{OK: true})
+				v, ok := st.Pop(e)
+				chk.End(0, registry.Result{OK: ok, Val: v})
 			}})
 			s.Spawn(sched.JobSpec{Name: "adv1", CPU: 0, Prio: 5, Slot: 1, AfterSlices: rel[0], Body: func(e *sched.Env) {
 				st.Push(e, 200)
-				chk.EndOp(1, true)
+				chk.End(1, registry.Result{OK: true})
 			}})
 			s.Spawn(sched.JobSpec{Name: "adv2", CPU: 0, Prio: 9, Slot: 2, AfterSlices: rel[1], Body: func(e *sched.Env) {
-				_, ok := st.Pop(e)
-				chk.EndOp(2, ok)
+				v, ok := st.Pop(e)
+				chk.End(2, registry.Result{OK: ok, Val: v})
 			}})
 			if err := s.Run(); err != nil {
 				return err

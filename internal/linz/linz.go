@@ -1,7 +1,7 @@
 // Package linz is the repo's black-box linearizability engine.
 //
 // Every other correctness gate in this repository is white-box: the
-// checkers in internal/check trust the paper's stated linearization points
+// checkers in internal/registry trust the paper's stated linearization points
 // (the Status/Rv commit writes) and replay a sequential model at exactly
 // those instants. A bug in the *choice* of linearization point — an
 // operation committed outside its own invoke→response window, or helped

@@ -14,7 +14,7 @@
 // (announced operations must be committed consistently with their
 // announce/response order) and precisely the class the repo's white-box
 // checkers cannot see: each mutant carries its own white-box checker in
-// the style of internal/check — a sequential model replayed at the
+// the style of the registry's checkers — a sequential model replayed at the
 // object's *stated* linearization points (the splice writes) — and that
 // checker passes, because results and final state are perfectly consistent
 // with the (wrong) commit order. Only a history-based checker, which knows
@@ -35,8 +35,8 @@ type pending struct {
 }
 
 // whitebox replays a sequential model at the mutant's stated linearization
-// points (the splices and the removals), mimicking internal/check's
-// replay-at-commit discipline.
+// points (the splices and the removals), mimicking the registry
+// checkers' replay-at-commit discipline.
 type whitebox struct {
 	model registry.Model
 	errs  []error

@@ -1,12 +1,16 @@
 package registry
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // Model is an object's sequential specification: the golden in-memory
 // implementation an execution's operation sequence is replayed against.
-// The wfcheck sweeps and the differential tests compare concrete objects
-// to it op for op, and the black-box checker (internal/linz) searches over
-// its states, which is what Fork and Hash exist for.
+// The white-box checkers (check.go) replay commits against it inside the
+// run, the differential tests compare concrete objects to it op for op, and
+// the black-box checker (internal/linz) searches over its states, which is
+// what Fork and Hash exist for.
 type Model interface {
 	// Apply performs op sequentially and returns the specified outcome.
 	Apply(op Op) Result
@@ -23,8 +27,10 @@ type Model interface {
 
 // NewModel returns a fresh sequential model of the descriptor's kind,
 // pre-seeded like an instance built with cfg would be.
-func (d *Descriptor) NewModel(cfg Config) Model {
-	switch d.Model {
+func (d *Descriptor) NewModel(cfg Config) Model { return newModel(d.Model, cfg) }
+
+func newModel(kind ModelKind, cfg Config) Model {
+	switch kind {
 	case ModelSorted:
 		m := &sortedModel{present: map[uint64]bool{}}
 		for _, k := range cfg.SeedKeys {
@@ -40,7 +46,7 @@ func (d *Descriptor) NewModel(cfg Config) Model {
 		copy(words, cfg.Initial)
 		return &wordsModel{words: words}
 	}
-	panic("registry: no model for descriptor " + d.Name)
+	panic(fmt.Sprintf("registry: no model of kind %d", int(kind)))
 }
 
 // mix64 is the SplitMix64 finalizer, used to spread state values before
@@ -197,14 +203,14 @@ func (m *wordsModel) Snapshot() []uint64 { return m.AppendSnapshot(nil) }
 
 func (m *wordsModel) AppendSnapshot(dst []uint64) []uint64 { return append(dst, m.words...) }
 
-// appendSnap returns a buffer-reusing snapshot function for any object or
-// model, falling back to the allocating Snapshot when AppendSnapshot is
-// not implemented.
-func appendSnap(s interface{ Snapshot() []uint64 }) func(dst []uint64) []uint64 {
+// appendState appends the state of any object or model to dst, reusing
+// the caller's buffer when s implements AppendSnapshot and falling back to
+// the allocating Snapshot when it does not.
+func appendState(s Snapshotter, dst []uint64) []uint64 {
 	if sa, ok := s.(interface {
 		AppendSnapshot(dst []uint64) []uint64
 	}); ok {
-		return sa.AppendSnapshot
+		return sa.AppendSnapshot(dst)
 	}
-	return func(dst []uint64) []uint64 { return append(dst, s.Snapshot()...) }
+	return append(dst, s.Snapshot()...)
 }

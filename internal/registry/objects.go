@@ -3,8 +3,8 @@ package registry
 // The descriptor table: the ten core objects and the four evaluation
 // baselines, each answering the registry op model through a small adapter.
 // The adapters own the construction order the objects require (arena, then
-// object, then seeding, then freeze) and, under Config.Check, wire the
-// object's linearizability checker so Apply drives it.
+// object, then seeding, then freeze) and, under Config.Check, arm the
+// object's linearizability checker through checked so Apply drives it.
 
 import (
 	"fmt"
@@ -14,7 +14,6 @@ import (
 	"repro/internal/baseline/herlihy"
 	"repro/internal/baseline/locklist"
 	"repro/internal/baseline/valois"
-	"repro/internal/check"
 	"repro/internal/core/multihash"
 	"repro/internal/core/multilist"
 	"repro/internal/core/multimwcas"
@@ -66,29 +65,40 @@ func listApply(l List) applyFn {
 	}
 }
 
-func listKind(c OpCode) uint64 {
-	switch c {
-	case OpInsert:
-		return check.ListIns
-	case OpDelete:
-		return check.ListDel
-	default:
-		return check.ListSch
+// queueApply adapts both queues to the op model.
+func queueApply(q interface {
+	Enqueue(e shmem.Ctx, val uint64)
+	Dequeue(e shmem.Ctx) (uint64, bool)
+}) applyFn {
+	return func(e shmem.Ctx, slot int, op Op) Result {
+		switch op.Code {
+		case OpEnqueue:
+			q.Enqueue(e, op.Val)
+			return Result{OK: true}
+		case OpDequeue:
+			v, ok := q.Dequeue(e)
+			return Result{OK: ok, Val: v}
+		}
+		panic("registry: queue got " + op.Code.String())
 	}
 }
 
-// multiListChecked arms the structural-event checker shared by the
-// multiprocessor list, the hash tables' bucket chains, and the lock-free
-// baselines.
-func multiListChecked(l List, chk *check.MultiListChecker) (applyFn, func() error) {
-	base := listApply(l)
-	apply := func(e shmem.Ctx, slot int, op Op) Result {
-		chk.BeginOp(slot, listKind(op.Code), op.Key)
-		r := base(e, slot, op)
-		chk.EndOp(slot, r.OK)
-		return r
+// stackApply adapts both stacks to the op model.
+func stackApply(st interface {
+	Push(e shmem.Ctx, val uint64)
+	Pop(e shmem.Ctx) (uint64, bool)
+}) applyFn {
+	return func(e shmem.Ctx, slot int, op Op) Result {
+		switch op.Code {
+		case OpPush:
+			st.Push(e, op.Val)
+			return Result{OK: true}
+		case OpPop:
+			v, ok := st.Pop(e)
+			return Result{OK: ok, Val: v}
+		}
+		panic("registry: stack got " + op.Code.String())
 	}
-	return apply, func() error { chk.Finish(); return chk.Err() }
 }
 
 // simMem returns the simulated memory behind b for the white-box checkers.
@@ -128,14 +138,8 @@ func init() {
 			ar.Freeze()
 			in := &instance{under: l, snapshot: l.Snapshot, apply: listApply(l)}
 			if cfg.Check {
-				chk := check.NewUniListChecker(l, simMem(b), cfg.Procs)
-				base := listApply(l)
-				in.apply = func(e shmem.Ctx, slot int, op Op) Result {
-					r := base(e, slot, op)
-					chk.EndOp(slot, r.OK)
-					return r
-				}
-				in.finish = func() error { chk.Finish(); return chk.Err() }
+				checked(in, NewSerialChecker(simMem(b), l.AnnPidAddr(), cfg.Procs,
+					l, newModel(ModelSorted, cfg), KeyedPeek(l)))
 			}
 			return in, nil
 		},
@@ -161,43 +165,10 @@ func init() {
 				return nil, err
 			}
 			ar.Freeze()
-			apply := func(e shmem.Ctx, slot int, op Op) Result {
-				switch op.Code {
-				case OpEnqueue:
-					q.Enqueue(e, op.Val)
-					return Result{OK: true}
-				case OpDequeue:
-					v, ok := q.Dequeue(e)
-					return Result{OK: ok, Val: v}
-				}
-				panic("registry: uniqueue got " + op.Code.String())
-			}
-			in := &instance{under: q, snapshot: q.Snapshot, apply: apply}
+			in := &instance{under: q, snapshot: q.Snapshot, apply: queueApply(q)}
 			if cfg.Check {
-				// Incremental helping totally orders operations by
-				// announce; replay them against the FIFO model.
-				model := &fifoModel{}
-				var objBuf, modBuf []uint64 // reused across invariant checks
-				chk := check.NewSerialChecker(simMem(b), q.Engine().AnnPidAddr(), cfg.Procs,
-					func(p int) bool {
-						node, opc := q.PeekPar(p)
-						if opc == 1 {
-							val := simMem(b).Peek(ar.ValAddr(arena.Ref(node)))
-							return model.Apply(Op{Code: OpEnqueue, Val: val}).OK
-						}
-						return model.Apply(Op{Code: OpDequeue}).OK
-					},
-					func() error {
-						objBuf = appendSnap(q)(objBuf[:0])
-						modBuf = appendSnap(model)(modBuf[:0])
-						return check.SliceEqual(objBuf, modBuf)
-					})
-				in.apply = func(e shmem.Ctx, slot int, op Op) Result {
-					r := apply(e, slot, op)
-					chk.EndOp(slot, r.OK)
-					return r
-				}
-				in.finish = func() error { chk.Finish(); return chk.Err() }
+				checked(in, NewSerialChecker(simMem(b), q.Engine().AnnPidAddr(), cfg.Procs,
+					q, newModel(ModelFIFO, cfg), ValuePeek(simMem(b), ar, ModelFIFO, q)))
 			}
 			return in, nil
 		},
@@ -223,41 +194,10 @@ func init() {
 				return nil, err
 			}
 			ar.Freeze()
-			apply := func(e shmem.Ctx, slot int, op Op) Result {
-				switch op.Code {
-				case OpPush:
-					st.Push(e, op.Val)
-					return Result{OK: true}
-				case OpPop:
-					v, ok := st.Pop(e)
-					return Result{OK: ok, Val: v}
-				}
-				panic("registry: unistack got " + op.Code.String())
-			}
-			in := &instance{under: st, snapshot: st.Snapshot, apply: apply}
+			in := &instance{under: st, snapshot: st.Snapshot, apply: stackApply(st)}
 			if cfg.Check {
-				model := &lifoModel{}
-				var objBuf, modBuf []uint64 // reused across invariant checks
-				chk := check.NewSerialChecker(simMem(b), st.Engine().AnnPidAddr(), cfg.Procs,
-					func(p int) bool {
-						node, opc := st.PeekPar(p)
-						if opc == 1 {
-							val := simMem(b).Peek(ar.ValAddr(arena.Ref(node)))
-							return model.Apply(Op{Code: OpPush, Val: val}).OK
-						}
-						return model.Apply(Op{Code: OpPop}).OK
-					},
-					func() error {
-						objBuf = appendSnap(st)(objBuf[:0])
-						modBuf = appendSnap(model)(modBuf[:0])
-						return check.SliceEqual(objBuf, modBuf)
-					})
-				in.apply = func(e shmem.Ctx, slot int, op Op) Result {
-					r := apply(e, slot, op)
-					chk.EndOp(slot, r.OK)
-					return r
-				}
-				in.finish = func() error { chk.Finish(); return chk.Err() }
+				checked(in, NewSerialChecker(simMem(b), st.Engine().AnnPidAddr(), cfg.Procs,
+					st, newModel(ModelLIFO, cfg), ValuePeek(simMem(b), ar, ModelLIFO, st)))
 			}
 			return in, nil
 		},
@@ -290,32 +230,8 @@ func init() {
 			ar.Freeze()
 			in := &instance{under: tb, snapshot: tb.Snapshot, apply: listApply(tb)}
 			if cfg.Check {
-				model := Lookup0("unihash").NewModel(cfg)
-				var objBuf, modBuf []uint64 // reused across invariant checks
-				chk := check.NewSerialChecker(simMem(b), tb.Engine().AnnPidAddr(), cfg.Procs,
-					func(p int) bool {
-						_, key, opc := tb.PeekPar(p)
-						switch opc {
-						case 1:
-							return model.Apply(Op{Code: OpInsert, Key: key}).OK
-						case 2:
-							return model.Apply(Op{Code: OpDelete, Key: key}).OK
-						default:
-							return model.Apply(Op{Code: OpSearch, Key: key}).OK
-						}
-					},
-					func() error {
-						objBuf = appendSnap(tb)(objBuf[:0])
-						modBuf = appendSnap(model)(modBuf[:0])
-						return check.SliceEqual(objBuf, modBuf)
-					})
-				base := listApply(tb)
-				in.apply = func(e shmem.Ctx, slot int, op Op) Result {
-					r := base(e, slot, op)
-					chk.EndOp(slot, r.OK)
-					return r
-				}
-				in.finish = func() error { chk.Finish(); return chk.Err() }
+				checked(in, NewSerialChecker(simMem(b), tb.Engine().AnnPidAddr(), cfg.Procs,
+					tb, newModel(ModelSorted, cfg), KeyedPeek(tb)))
 			}
 			return in, nil
 		},
@@ -350,11 +266,8 @@ func init() {
 				}
 				obj.InitWord(w, uint32(v))
 			}
-			var chk *check.MWCASChecker
-			if cfg.Check {
-				chk = check.NewMWCASChecker(obj, simMem(b), words)
-			}
-			in := &instance{under: obj, words: words}
+			tx := newMWCASTx(words, cfg.Procs, obj.Read, obj.MWCAS)
+			in := &instance{under: obj, words: words, apply: tx.apply}
 			in.snapshot = func() []uint64 {
 				out := make([]uint64, len(words))
 				for i, w := range words {
@@ -362,49 +275,10 @@ func init() {
 				}
 				return out
 			}
-			// Per-slot scratch, reused across applies: procs yield inside
-			// MWCAS, so another slot's apply may interleave mid-operation —
-			// the buffers must not be shared across slots.
-			type mwcasScratch struct {
-				addrs      []shmem.Addr
-				olds, news []uint32
-			}
-			scratch := make([]mwcasScratch, cfg.Procs)
-			in.apply = func(e shmem.Ctx, slot int, op Op) Result {
-				if op.Code != OpMWCAS {
-					panic("registry: unimwcas got " + op.Code.String())
-				}
-				sc := &scratch[slot]
-				if cap(sc.addrs) < len(op.Words) {
-					sc.addrs = make([]shmem.Addr, len(op.Words))
-					sc.olds = make([]uint32, len(op.Words))
-					sc.news = make([]uint32, len(op.Words))
-				}
-				addrs := sc.addrs[:len(op.Words)]
-				olds := sc.olds[:len(op.Words)]
-				news := sc.news[:len(op.Words)]
-				for i, wi := range op.Words {
-					addrs[i] = words[wi]
-					if chk != nil {
-						rw := chk.BeginRead(addrs[i])
-						olds[i] = obj.Read(e, addrs[i])
-						chk.EndRead(rw, olds[i])
-					} else {
-						olds[i] = obj.Read(e, addrs[i])
-					}
-					news[i] = olds[i] + uint32(op.Delta)
-				}
-				if chk != nil {
-					chk.BeginOp(slot, addrs, olds, news)
-				}
-				ok := obj.MWCAS(e, addrs, olds, news)
-				if chk != nil {
-					chk.EndOp(slot, ok)
-				}
-				return Result{OK: ok, Val: uint64(olds[0])}
-			}
-			if chk != nil {
-				in.finish = chk.Err
+			if cfg.Check {
+				chk := NewMWCASChecker(obj, simMem(b), words)
+				chk.arm(tx)
+				checked(in, chk)
 			}
 			return in, nil
 		},
@@ -444,7 +318,7 @@ func init() {
 			ar.Freeze()
 			in := &instance{under: l, snapshot: l.Snapshot, apply: listApply(l)}
 			if cfg.Check {
-				in.apply, in.finish = multiListChecked(l, check.NewMultiListChecker(l, simMem(b)))
+				checked(in, NewStructChecker(ModelSorted, l, simMem(b)))
 			}
 			return in, nil
 		},
@@ -473,36 +347,9 @@ func init() {
 				return nil, err
 			}
 			ar.Freeze()
-			var chk *check.FIFOChecker
+			in := &instance{under: q, snapshot: q.Snapshot, apply: queueApply(q)}
 			if cfg.Check {
-				chk = check.NewFIFOChecker(q, simMem(b))
-			}
-			in := &instance{under: q, snapshot: q.Snapshot}
-			in.apply = func(e shmem.Ctx, slot int, op Op) Result {
-				switch op.Code {
-				case OpEnqueue:
-					if chk != nil {
-						chk.BeginEnq(slot, op.Val)
-					}
-					q.Enqueue(e, op.Val)
-					if chk != nil {
-						chk.EndEnq(slot)
-					}
-					return Result{OK: true}
-				case OpDequeue:
-					if chk != nil {
-						chk.BeginDeq(slot)
-					}
-					v, ok := q.Dequeue(e)
-					if chk != nil {
-						chk.EndDeq(slot, v, ok)
-					}
-					return Result{OK: ok, Val: v}
-				}
-				panic("registry: multiqueue got " + op.Code.String())
-			}
-			if chk != nil {
-				in.finish = func() error { chk.Finish(); return chk.Err() }
+				checked(in, NewStructChecker(ModelFIFO, q, simMem(b)))
 			}
 			return in, nil
 		},
@@ -531,36 +378,9 @@ func init() {
 				return nil, err
 			}
 			ar.Freeze()
-			var chk *check.LIFOChecker
+			in := &instance{under: st, snapshot: st.Snapshot, apply: stackApply(st)}
 			if cfg.Check {
-				chk = check.NewLIFOChecker(st, simMem(b))
-			}
-			in := &instance{under: st, snapshot: st.Snapshot}
-			in.apply = func(e shmem.Ctx, slot int, op Op) Result {
-				switch op.Code {
-				case OpPush:
-					if chk != nil {
-						chk.BeginPush(slot, op.Val)
-					}
-					st.Push(e, op.Val)
-					if chk != nil {
-						chk.EndPush(slot)
-					}
-					return Result{OK: true}
-				case OpPop:
-					if chk != nil {
-						chk.BeginPop(slot)
-					}
-					v, ok := st.Pop(e)
-					if chk != nil {
-						chk.EndPop(slot, v, ok)
-					}
-					return Result{OK: ok, Val: v}
-				}
-				panic("registry: multistack got " + op.Code.String())
-			}
-			if chk != nil {
-				in.finish = func() error { chk.Finish(); return chk.Err() }
+				checked(in, NewStructChecker(ModelLIFO, st, simMem(b)))
 			}
 			return in, nil
 		},
@@ -596,7 +416,7 @@ func init() {
 			ar.Freeze()
 			in := &instance{under: tb, snapshot: tb.Snapshot, apply: listApply(tb)}
 			if cfg.Check {
-				in.apply, in.finish = multiListChecked(tb, check.NewMultiListChecker(tb, simMem(b)))
+				checked(in, NewStructChecker(ModelSorted, tb, simMem(b)))
 			}
 			return in, nil
 		},
@@ -631,11 +451,8 @@ func init() {
 				}
 				obj.InitWord(w, v)
 			}
-			var chk *check.MultiMWCASChecker
-			if cfg.Check {
-				chk = check.NewMultiMWCASChecker(obj, simMem(b), cfg.Procs, words)
-			}
-			in := &instance{under: obj, words: words}
+			tx := newMWCASTx(words, cfg.Procs, obj.ReadWord, obj.MWCAS)
+			in := &instance{under: obj, words: words, apply: tx.apply}
 			in.snapshot = func() []uint64 {
 				out := make([]uint64, len(words))
 				for i, w := range words {
@@ -643,43 +460,10 @@ func init() {
 				}
 				return out
 			}
-			// Per-slot scratch, reused across applies: procs yield inside
-			// MWCAS, so another slot's apply may interleave mid-operation —
-			// the buffers must not be shared across slots.
-			type mwcasScratch struct {
-				addrs      []shmem.Addr
-				olds, news []uint64
-			}
-			scratch := make([]mwcasScratch, cfg.Procs)
-			in.apply = func(e shmem.Ctx, slot int, op Op) Result {
-				if op.Code != OpMWCAS {
-					panic("registry: multimwcas got " + op.Code.String())
-				}
-				sc := &scratch[slot]
-				if cap(sc.addrs) < len(op.Words) {
-					sc.addrs = make([]shmem.Addr, len(op.Words))
-					sc.olds = make([]uint64, len(op.Words))
-					sc.news = make([]uint64, len(op.Words))
-				}
-				addrs := sc.addrs[:len(op.Words)]
-				olds := sc.olds[:len(op.Words)]
-				news := sc.news[:len(op.Words)]
-				for i, wi := range op.Words {
-					addrs[i] = words[wi]
-					olds[i] = obj.ReadWord(e, addrs[i])
-					news[i] = olds[i] + op.Delta
-				}
-				if chk != nil {
-					chk.BeginOp(slot, addrs, olds, news)
-				}
-				ok := obj.MWCAS(e, addrs, olds, news)
-				if chk != nil {
-					chk.EndOp(slot, ok)
-				}
-				return Result{OK: ok, Val: olds[0]}
-			}
-			if chk != nil {
-				in.finish = chk.Err
+			if cfg.Check {
+				chk := NewMultiMWCASChecker(obj, simMem(b), cfg.Procs, words)
+				tx.obs = chk
+				checked(in, chk)
 			}
 			return in, nil
 		},
@@ -708,7 +492,7 @@ func init() {
 			ar.Freeze()
 			in := &instance{under: l, snapshot: l.Snapshot, apply: listApply(l)}
 			if cfg.Check {
-				in.apply, in.finish = multiListChecked(l, check.NewMultiListChecker(l, simMem(b)))
+				checked(in, NewStructChecker(ModelSorted, l, simMem(b)))
 			}
 			return in, nil
 		},
@@ -733,7 +517,7 @@ func init() {
 			ar.Freeze()
 			in := &instance{under: l, snapshot: l.Snapshot, apply: listApply(l)}
 			if cfg.Check {
-				in.apply, in.finish = multiListChecked(l, check.NewMultiListChecker(l, simMem(b)))
+				checked(in, NewStructChecker(ModelSorted, l, simMem(b)))
 			}
 			return in, nil
 		},
@@ -741,6 +525,7 @@ func init() {
 
 	register(&Descriptor{
 		Name: "locklist", Pkg: "baseline/locklist", Family: FamilyBaseline, Model: ModelSorted,
+		NoCheck: "the spin-lock list splices with plain Stores, which the structural checker skips by design",
 		New: func(b Backend, cfg Config) (Instance, error) {
 			ar, err := newArena(b, cfg)
 			if err != nil {
@@ -762,6 +547,7 @@ func init() {
 
 	register(&Descriptor{
 		Name: "herlihy", Pkg: "baseline/herlihy", Family: FamilyBaseline, Model: ModelSorted,
+		NoCheck: "no white-box checker models the universal construction; judge it with the black-box engine (internal/linz)",
 		New: func(b Backend, cfg Config) (Instance, error) {
 			if len(cfg.SeedKeys) > 0 {
 				return nil, fmt.Errorf("registry: the herlihy universal construction does not support seeding")

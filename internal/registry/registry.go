@@ -11,6 +11,12 @@
 // the registry is that claim made executable: every object answers the same
 // surface, and the completeness test pins that every package under
 // internal/core/ is registered.
+//
+// Each object's sequential Model has two observers: the white-box checkers
+// armed by Config.Check (check.go, mwcas.go), pure memory-write observers
+// that replay the model at the algorithms' linearization points, and the
+// black-box engine in internal/linz, which judges call/return histories
+// against it.
 package registry
 
 import (
@@ -199,7 +205,8 @@ type Config struct {
 	Stride   int
 	OneRound bool
 	// Check arms the object's linearizability checker; Apply then drives
-	// it and CheckErr returns its verdict.
+	// it and CheckErr returns its verdict. Objects without a checker
+	// (Descriptor.NoCheck) refuse it.
 	Check bool
 }
 
@@ -263,6 +270,9 @@ type Descriptor struct {
 	UniPeer string
 	// Scenario is the named-run recipe.
 	Scenario ScenarioSpec
+	// NoCheck, when set, says why the object has no white-box checker;
+	// Normalize refuses Config.Check for it rather than run unchecked.
+	NoCheck string
 	// New constructs an instance on the given backend. Callers go through
 	// Build/BuildOn, which normalize and validate cfg first.
 	New func(b Backend, cfg Config) (Instance, error)
@@ -349,6 +359,9 @@ func (d *Descriptor) Normalize(b Backend, cfg *Config) error {
 		(d.Family == FamilyMulti && cfg.Processors > b.Processors()) {
 		return fmt.Errorf("%s: %w: Processors=%d Procs=%d (need Procs >= 1 and 1 <= Processors <= the backend's %d)",
 			d.Name, ErrProcConfig, cfg.Processors, cfg.Procs, b.Processors())
+	}
+	if cfg.Check && d.NoCheck != "" {
+		return fmt.Errorf("%s: Config.Check is not supported: %s", d.Name, d.NoCheck)
 	}
 	if b.Sim() == nil {
 		if cfg.Check {

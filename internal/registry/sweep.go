@@ -81,12 +81,13 @@ const (
 	sweepGap = 8
 )
 
-// StressConfig sizes a checked instance for schedule stressing: the
+// StressConfig sizes an instance for schedule stressing, checked wherever
+// the object has a white-box checker (Descriptor.NoCheck): the
 // release-point sweeps here and the randomized adversary runs
 // (internal/linz/adversary) both build instances from it, so one config
 // shape covers every core object and baseline.
 func (d *Descriptor) StressConfig(slots int) Config {
-	cfg := Config{Procs: slots, Capacity: 48, Buckets: 4, Check: true}
+	cfg := Config{Procs: slots, Capacity: 48, Buckets: 4, Check: d.NoCheck == ""}
 	switch d.Model {
 	case ModelSorted:
 		// Two seeded keys inside the generator's key range, so deletes

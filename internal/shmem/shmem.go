@@ -15,7 +15,7 @@
 // single simulator step.
 //
 // Observers can watch every successful write. The linearizability checkers in
-// internal/check are implemented entirely as observers, so the algorithms
+// internal/registry are implemented entirely as observers, so the algorithms
 // under test carry no instrumentation.
 package shmem
 
