@@ -79,7 +79,6 @@ func main() {
 	flag.Int64Var(&p.seed, "seed", 11, "random seed")
 	flag.IntVar(&p.sweepSeeds, "sweepseeds", 3, "seeds per cell for the -exp sweep matrix (at least 1)")
 	flag.StringVar(&p.outdir, "outdir", ".", "directory for the BENCH_<object>.json run reports")
-	flag.StringVar(&p.coreBaseline, "corebaseline", "", "with -exp core: committed BENCH_core.json to gate ns/slice regressions against")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	blockprofile := flag.String("blockprofile", "", "write a block (contention) profile to this file on exit")
@@ -139,11 +138,10 @@ func main() {
 
 // params carries the flag values the experiments read.
 type params struct {
-	ops, procs   int
-	seed         int64
-	sweepSeeds   int
-	outdir       string
-	coreBaseline string
+	ops, procs int
+	seed       int64
+	sweepSeeds int
+	outdir     string
 }
 
 // experiment is one -exp choice.
@@ -163,7 +161,6 @@ var experiments = []experiment{
 	{"ablations", func(p params) error { return ablations(p.seed) }},
 	{"report", func(p params) error { return reports(p.outdir, p.seed) }},
 	{"sweep", func(p params) error { return sweep(p.outdir, p.sweepSeeds) }},
-	{"core", func(p params) error { return coreBench(p.outdir, p.coreBaseline) }},
 	{"native", func(p params) error { return nativeBench(p.outdir, p.ops, p.procs, p.seed) }},
 	{"service", func(p params) error { return serviceBench(p.outdir, p.ops, p.procs, p.seed) }},
 }

@@ -47,7 +47,7 @@ func TestSelectExperiments(t *testing.T) {
 			t.Errorf("-exp %q selected %v, want %v", tc.exp, got, tc.want)
 		}
 	}
-	if len(all) != 12 || all[0] != "fig1" || all[len(all)-1] != "service" {
-		t.Errorf("experiment list %v, want the 12 experiments fig1 .. service", all)
+	if len(all) != 11 || all[0] != "fig1" || all[len(all)-1] != "service" {
+		t.Errorf("experiment list %v, want the 11 experiments fig1 .. service", all)
 	}
 }

@@ -56,6 +56,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/arrival"
 	"repro/internal/cover"
@@ -89,6 +90,15 @@ func main() {
 	blockprofile := flag.String("blockprofile", "", "write a block (contention) profile to this file on exit")
 	flag.Parse()
 
+	names, err := selectSuites(options{
+		suite: *suite, policy: *policy, arrival: *arrivalName,
+		linz: *linzMode, swarm: *swarm, randN: *randN, budget: *budget,
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "wfcheck: %v\n", err)
+		os.Exit(1)
+	}
+
 	stopProf, err := prof.Start(*cpuprofile, *memprofile, *blockprofile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wfcheck: %v\n", err)
@@ -103,78 +113,16 @@ func main() {
 		os.Exit(code)
 	}
 
-	// Resolve the policy and arrival names up front so a typo fails fast
-	// with the known template lists, before any schedule runs.
-	if _, err := sched.PolicyByName(*policy); err != nil {
-		fmt.Fprintf(os.Stderr, "wfcheck: %v\n", err)
-		exit(1)
-	}
-	if *arrivalName != "" {
-		if _, err := arrival.ByName(*arrivalName); err != nil {
-			fmt.Fprintf(os.Stderr, "wfcheck: %v\n", err)
-			exit(1)
-		}
-	}
-
 	if *linzMode {
-		if *arrivalName != "" {
-			fmt.Fprintf(os.Stderr, "wfcheck: -arrival shapes the sweep cast; -linz generates its own randomized releases\n")
-			exit(1)
-		}
-		if *swarm {
-			fmt.Fprintf(os.Stderr, "wfcheck: -swarm samples the sweep space; -linz generates its own randomized schedules\n")
-			exit(1)
-		}
-		exit(linzMain(*suite, *randN, *par, *coverage, *progress, *policy))
+		exit(linzMain(names, *randN, *par, *coverage, *progress, *policy))
 	}
-
 	if *swarm {
-		// The swarm enumerates the policy and arrival axes itself; a fixed
-		// -policy/-arrival would silently shadow most of its grid.
-		if *policy != "" || *arrivalName != "" {
-			fmt.Fprintf(os.Stderr, "wfcheck: -swarm spans every policy and arrival template; -policy/-arrival apply to the exhaustive sweep\n")
-			exit(1)
-		}
-		objects := registry.CoreNames()
-		if *suite != "all" {
-			ok := false
-			for _, n := range objects {
-				if n == *suite {
-					ok = true
-				}
-			}
-			if !ok {
-				fmt.Fprintf(os.Stderr, "wfcheck: -swarm covers the core objects (have %v), not %q\n", objects, *suite)
-				exit(1)
-			}
-			objects = []string{*suite}
-		}
-		exit(swarmMain(objects, *budget, *par, *maxSlice, *coverage, *progress))
+		exit(swarmMain(names, *budget, *par, *maxSlice, *coverage, *progress))
 	}
-
-	offDefault := *policy != "" || *arrivalName != ""
-	names := append(registry.CoreNames(), "workload")
-	if *suite != "all" {
-		found := false
-		for _, n := range names {
-			if n == *suite {
-				found = true
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "wfcheck: unknown suite %q (have %v)\n", *suite, names)
-			exit(1)
-		}
-		if *suite == "workload" && offDefault {
-			fmt.Fprintf(os.Stderr, "wfcheck: the workload suite drives its own scheduler config; -policy/-arrival apply to the registry sweeps only\n")
-			exit(1)
-		}
-		names = []string{*suite}
-	} else if offDefault {
+	if *suite == "all" && (*policy != "" || *arrivalName != "") {
 		// The workload suite builds its own simulator configuration; under
 		// a non-default policy or arrival trace it is skipped (loudly, not
 		// silently passed over).
-		names = names[:len(names)-1]
 		fmt.Fprintf(os.Stderr, "wfcheck: skipping workload suite under -policy/-arrival (registry sweeps only)\n")
 	}
 
@@ -309,21 +257,87 @@ func printCover(name string, a *cover.Accumulator, curve bool) {
 	fmt.Println()
 }
 
+// options carries the flag values selectSuites checks.
+type options struct {
+	suite, policy, arrival string
+	linz, swarm            bool
+	randN, budget          int
+}
+
+// selectSuites checks the flag combination before any schedule runs and
+// resolves -suite to the suites the chosen mode covers, in report order. A
+// typo'd name or a combination one mode would silently ignore is an error,
+// so it cannot pass for a run that checked nothing.
+func selectSuites(o options) ([]string, error) {
+	// Resolve the policy and arrival names first so a typo fails with the
+	// known template lists.
+	if _, err := sched.PolicyByName(o.policy); err != nil {
+		return nil, err
+	}
+	if o.arrival != "" {
+		if _, err := arrival.ByName(o.arrival); err != nil {
+			return nil, err
+		}
+	}
+	if o.linz {
+		if o.arrival != "" {
+			return nil, errors.New("-arrival shapes the sweep cast; -linz generates its own randomized releases")
+		}
+		if o.swarm {
+			return nil, errors.New("-swarm samples the sweep space; -linz generates its own randomized schedules")
+		}
+		if o.randN < 1 {
+			return nil, fmt.Errorf("-rand %d: -linz needs at least one randomized schedule per object", o.randN)
+		}
+		if o.suite == "all" {
+			return registry.Names(), nil
+		}
+		if _, err := registry.Lookup(o.suite); err != nil {
+			return nil, err
+		}
+		return []string{o.suite}, nil
+	}
+	if o.swarm {
+		// The swarm enumerates the policy and arrival axes itself; a fixed
+		// -policy/-arrival would silently shadow most of its grid.
+		if o.policy != "" || o.arrival != "" {
+			return nil, errors.New("-swarm spans every policy and arrival template; -policy/-arrival apply to the exhaustive sweep")
+		}
+		objects := registry.CoreNames()
+		if o.suite != "all" {
+			if !slices.Contains(objects, o.suite) {
+				return nil, fmt.Errorf("-swarm covers the core objects (have %v), not %q", objects, o.suite)
+			}
+			objects = []string{o.suite}
+		}
+		if o.budget < 1 {
+			return nil, errors.New("-swarm needs a positive -budget")
+		}
+		return objects, nil
+	}
+	offDefault := o.policy != "" || o.arrival != ""
+	names := append(registry.CoreNames(), "workload")
+	if o.suite == "all" {
+		if offDefault {
+			return names[:len(names)-1], nil
+		}
+		return names, nil
+	}
+	if !slices.Contains(names, o.suite) {
+		return nil, fmt.Errorf("unknown suite %q (have %v)", o.suite, names)
+	}
+	if o.suite == "workload" && offDefault {
+		return nil, errors.New("the workload suite drives its own scheduler config; -policy/-arrival apply to the registry sweeps only")
+	}
+	return []string{o.suite}, nil
+}
+
 // linzMain is the -linz mode: randN seeded adversary schedules per object
 // (seeds 1..N, strategies alternating uniform/pct), every recorded history
 // judged by the black-box engine. Covers all registered objects, baselines
 // included — black-box checking needs only the sequential model. With
 // coverage on, every run is signed by its interleaving shape (Run.Sig).
-func linzMain(suite string, randN, par int, coverage, progress bool, policy string) int {
-	names := registry.Names()
-	if suite != "all" {
-		if _, err := registry.Lookup(suite); err != nil {
-			fmt.Fprintf(os.Stderr, "wfcheck: %v\n", err)
-			return 1
-		}
-		names = []string{suite}
-	}
-
+func linzMain(names []string, randN, par int, coverage, progress bool, policy string) int {
 	var meter *cover.Meter
 	if progress {
 		meter = cover.NewMeter(os.Stderr, "wfcheck -linz", len(names)*randN, 0)

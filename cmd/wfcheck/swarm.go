@@ -83,10 +83,6 @@ func swarmStrata(objects []string, budget int) []stratum {
 // swarmMain runs the stratified sampling campaign and renders the merged
 // report. Returns the process exit code.
 func swarmMain(objects []string, budget, par int, maxSlice int64, coverage, progress bool) int {
-	if budget < 1 {
-		fmt.Fprintf(os.Stderr, "wfcheck: -swarm needs a positive -budget\n")
-		return 1
-	}
 	strata := swarmStrata(objects, budget)
 	policies, arrivals := swarmPolicies(), append([]string{""}, arrival.Names()...)
 	fmt.Printf("%-10s %8d schedules over %d strata (%d objects × %d policies × %d arrivals), max %d\n",

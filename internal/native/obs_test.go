@@ -68,11 +68,10 @@ func (p *baselineProc) store(a shmem.Addr, v uint64) {
 	p.point()
 }
 
-// TestObsDisabledNsGate is the timing half of the contract, mirroring the
-// PR 5 simulator-core CI gate: with observability off, a Load/Store pair
-// through Proc must stay within 25% of the replicated pre-observability
-// hot path. Set WF_SKIP_PERF_GATE=1 on hosts too noisy for timing
-// assertions (the CI gate honors the same variable).
+// TestObsDisabledNsGate is the timing half of the contract: with
+// observability off, a Load/Store pair through Proc must stay within 25% of
+// the replicated pre-observability hot path. Set WF_SKIP_PERF_GATE=1 on
+// hosts too noisy for timing assertions (ci.sh documents the variable).
 func TestObsDisabledNsGate(t *testing.T) {
 	if os.Getenv("WF_SKIP_PERF_GATE") != "" {
 		t.Skip("WF_SKIP_PERF_GATE set")

@@ -12,9 +12,10 @@ import (
 	"repro/internal/trace"
 )
 
-// maxSlots bounds the helping bookkeeping arrays. It is far above anything
-// the stress suites spawn; NewProc rejects slots beyond it.
-const maxSlots = 1024
+// MaxSlots bounds the helping bookkeeping arrays, and so the number of
+// processes one World can host. It is far above anything the stress suites
+// spawn; NewProc rejects slots beyond it.
+const MaxSlots = 1024
 
 // World is one native execution: a memory, a set of processes, and — for
 // the paper's families — the shards that impose priority-uniprocessor
@@ -38,7 +39,7 @@ type World struct {
 	shards []*shard
 	// helpReceived[p] counts help invocations received by slot p; written
 	// with atomics because helpers on different shards run concurrently.
-	helpReceived [maxSlots]atomic.Uint64
+	helpReceived [MaxSlots]atomic.Uint64
 	// obs is the observability context (nil unless EnableObs was called;
 	// see obs.go). Procs created while it is nil collect nothing and pay
 	// nothing beyond a nil check.
@@ -78,7 +79,7 @@ func (w *World) Processors() int {
 
 // HelpReceived returns the number of help invocations slot p received.
 func (w *World) HelpReceived(p int) uint64 {
-	if p < 0 || p >= maxSlots {
+	if p < 0 || p >= MaxSlots {
 		return 0
 	}
 	return w.helpReceived[p].Load()
@@ -193,8 +194,8 @@ type Proc struct {
 // priority. Slots must be unique per World when the helping algorithms are
 // in play — they index announce arrays, exactly as on the simulator.
 func (w *World) NewProc(slot, cpu int, prio shmem.Priority) *Proc {
-	if slot < 0 || slot >= maxSlots {
-		panic(fmt.Sprintf("native: slot %d out of range [0,%d)", slot, maxSlots))
+	if slot < 0 || slot >= MaxSlots {
+		panic(fmt.Sprintf("native: slot %d out of range [0,%d)", slot, MaxSlots))
 	}
 	p := &Proc{w: w, slot: slot, cpu: cpu, prio: prio, gate: make(chan struct{}, 1)}
 	if w.obs != nil {
@@ -454,7 +455,7 @@ func (p *Proc) NoteHelp(pid int) {
 		return
 	}
 	p.HelpGiven++
-	if pid >= 0 && pid < maxSlots {
+	if pid >= 0 && pid < MaxSlots {
 		p.w.helpReceived[pid].Add(1)
 	}
 	if p.ring != nil {

@@ -2,9 +2,12 @@ package registry
 
 import (
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/native"
 )
 
 // TestNativeObsEveryObject is the tentpole acceptance check: a native run
@@ -192,5 +195,22 @@ func TestNativeObsOffByDefault(t *testing.T) {
 	}
 	if res.Report != nil || res.TraceLog != nil {
 		t.Fatal("unobserved run returned a Report or TraceLog")
+	}
+}
+
+// TestRunNativeSlotBound: a native run asking for more processes than a
+// native world has slots is an error naming the bound, returned before any
+// goroutine starts — not a panic from World.NewProc.
+func TestRunNativeSlotBound(t *testing.T) {
+	d, err := Lookup("uniqueue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.RunNative(NativeRun{Procs: native.MaxSlots + 1, Ops: 1, Seed: 1, Cfg: d.StressConfig(2)})
+	if err == nil {
+		t.Fatalf("Procs %d: got a result %v, want an error", native.MaxSlots+1, res)
+	}
+	if want := fmt.Sprintf("Procs <= %d", native.MaxSlots); !strings.Contains(err.Error(), want) {
+		t.Errorf("Procs %d: err = %v, want one containing %q", native.MaxSlots+1, err, want)
 	}
 }

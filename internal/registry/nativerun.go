@@ -117,6 +117,9 @@ func (d *Descriptor) RunNative(r NativeRun) (*NativeResult, error) {
 	if r.Procs <= 0 || r.Ops < 0 {
 		return nil, fmt.Errorf("registry: native run needs Procs >= 1 and Ops >= 0 (got %d, %d)", r.Procs, r.Ops)
 	}
+	if r.Procs > native.MaxSlots {
+		return nil, fmt.Errorf("registry: native run needs Procs <= %d, a native world's slot bound (got %d)", native.MaxSlots, r.Procs)
+	}
 	shards := r.Shards
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)

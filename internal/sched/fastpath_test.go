@@ -3,17 +3,20 @@ package sched
 // Tests for the run-ahead fast path and the Sim reuse lifecycle. The fast
 // path's contract is observational equivalence: every run — traces, clocks,
 // per-process slice counts, watchdog failures — must be byte-identical with
-// batching on, off via SetRunAhead, and off via Config.DisableRunAhead. The
-// differential test below pins that across scenarios chosen to exercise each
-// horizon term (slice releases, time releases, multiprocessor clock
-// crossings, the watchdog) plus NoPreempt and zero-cost yields. The alloc
-// tests pin the zero-alloc claims of the trace and slice hot paths.
+// batching on and off (SetRunAhead(false), the serial loop: no grant, one
+// handoff per slice). The differential test below pins that across
+// scenarios chosen to exercise each horizon term (slice releases, time
+// releases, multiprocessor clock crossings, the watchdog) plus NoPreempt,
+// zero-cost yields and policy preemptions. The handoff test pins how much
+// batching the fast path actually does, and the alloc tests pin the
+// zero-alloc claims of the trace and slice hot paths.
 
 import (
 	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/shmem"
 	"repro/internal/trace"
 )
 
@@ -132,6 +135,37 @@ var fastpathScenarios = []struct {
 		})
 		return s
 	}},
+	{"policy-preemptions", func(extra Config) *Sim {
+		// Two arrivals land inside the running job's NoPreempt section,
+		// one per preemption rule: "lo" (prio 1, time released) preempts
+		// only under reverse-priority, "hi" (prio 9, slice released) under
+		// the default and age-slo policies. The serial loop keeps "mid"
+		// running until the section lapses and then preempts it, so a
+		// batch granted past a waiting preemptor would run through that
+		// point.
+		cfg := extra
+		cfg.Processors, cfg.Seed, cfg.MemWords, cfg.EnableTrace = 1, 8, 1<<12, true
+		s := New(cfg)
+		x := s.Mem().MustAlloc("x", 2)
+		body := func(n int) func(*Env) {
+			return func(e *Env) {
+				for i := 0; i < n; i++ {
+					e.Store(x, uint64(i))
+					if i == 3 {
+						e.NoPreempt(func() {
+							for j := 0; j < 8; j++ {
+								e.Store(x+1, uint64(j))
+							}
+						})
+					}
+				}
+			}
+		}
+		s.Spawn(JobSpec{Name: "mid", CPU: 0, Prio: 5, AfterSlices: -1, Cost: 30, Body: body(30)})
+		s.Spawn(JobSpec{Name: "lo", CPU: 0, Prio: 1, AfterSlices: -1, At: 6, Cost: 10, Body: body(10)})
+		s.Spawn(JobSpec{Name: "hi", CPU: 0, Prio: 9, AfterSlices: 8, Cost: 6, Body: body(6)})
+		return s
+	}},
 	{"notes", func(extra Config) *Sim {
 		// Annotations carry fields; their times and rendered messages must
 		// agree between modes.
@@ -154,29 +188,66 @@ var fastpathScenarios = []struct {
 	}},
 }
 
-// TestRunAheadDifferential runs every scenario with batching enabled, with
-// it disabled process-wide, and with it disabled per-run, and requires the
-// three fingerprints to match byte for byte.
+// runAheadFingerprint builds and runs a scenario with batching on or off
+// and returns its fingerprint plus the run's handoff count.
+func runAheadFingerprint(build func(Config) *Sim, cfg Config, runAhead bool) (string, uint64) {
+	SetRunAhead(runAhead)
+	defer SetRunAhead(true)
+	s := build(cfg)
+	err := s.Run()
+	return fingerprint(s, err), s.Handoffs()
+}
+
+// TestRunAheadDifferential runs every scenario with batching enabled and
+// with it disabled (SetRunAhead(false)), and requires the two fingerprints
+// to match byte for byte.
 func TestRunAheadDifferential(t *testing.T) {
 	for _, sc := range fastpathScenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			runWith := func(global bool, perRun bool) string {
-				SetRunAhead(global)
-				defer SetRunAhead(true)
-				s := sc.build(Config{DisableRunAhead: perRun})
-				err := s.Run()
-				return fingerprint(s, err)
-			}
-			on := runWith(true, false)
-			offGlobal := runWith(false, false)
-			offPerRun := runWith(true, true)
-			if on != offGlobal {
-				t.Errorf("run-ahead on vs SetRunAhead(false) diverged:\n--- on ---\n%s--- off ---\n%s", on, offGlobal)
-			}
-			if on != offPerRun {
-				t.Errorf("run-ahead on vs DisableRunAhead diverged:\n--- on ---\n%s--- off ---\n%s", on, offPerRun)
+			on, _ := runAheadFingerprint(sc.build, Config{}, true)
+			off, _ := runAheadFingerprint(sc.build, Config{}, false)
+			if on != off {
+				t.Errorf("run-ahead on vs SetRunAhead(false) diverged:\n--- on ---\n%s--- off ---\n%s", on, off)
 			}
 		})
+	}
+}
+
+// microHandoffs is the handoff count of the uncontended micro-benchmark
+// below with run-ahead on: its one process batches from its first resume
+// to its completion.
+const microHandoffs = 1
+
+// TestHandoffsMicro pins the handoff count of the uncontended 200k-slice
+// micro-benchmark (one processor, one process, a Load/Store loop): a fixed
+// handful with run-ahead on, and exactly one per slice with it off.
+func TestHandoffsMicro(t *testing.T) {
+	const ops = 200_000
+	run := func(runAhead bool) (handoffs, slices uint64) {
+		SetRunAhead(runAhead)
+		defer SetRunAhead(true)
+		s := Acquire(Config{Processors: 1, Seed: 1, MemWords: 1 << 12})
+		defer Release(s)
+		s.SpawnAt(0, 0, 1, "worker", func(e *Env) {
+			a, b := shmem.Addr(1), shmem.Addr(2)
+			for i := 0; i < ops/2; i++ {
+				v := e.Load(a)
+				e.Store(b, v+1)
+			}
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return s.Handoffs(), s.Slices()
+	}
+	// One slice per operation plus the closing slice that completes the
+	// body.
+	const wantSlices = ops + 1
+	if h, sl := run(true); h != microHandoffs || sl != wantSlices {
+		t.Errorf("run-ahead on: %d handoffs over %d slices, want %d over %d", h, sl, microHandoffs, wantSlices)
+	}
+	if h, sl := run(false); h != wantSlices || sl != wantSlices {
+		t.Errorf("run-ahead off: %d handoffs over %d slices, want one per slice (%d)", h, sl, wantSlices)
 	}
 }
 
@@ -266,8 +337,8 @@ func allocRun(slices int, traced bool) {
 }
 
 // TestAllocsPerSlice pins the slice hot path allocation-free: a pooled
-// 2000-slice run may allocate only its fixed per-run overhead (goroutine,
-// channels, Proc, trace chunk), so allocations per slice must stay under
+// 2000-slice run may allocate only its fixed per-run overhead (coroutine,
+// Proc, trace chunk), so allocations per slice must stay under
 // 0.05 with tracing off and on.
 func TestAllocsPerSlice(t *testing.T) {
 	const slices = 2000

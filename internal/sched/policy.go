@@ -55,20 +55,6 @@ type Policy interface {
 	Preempts(ready, current int64) bool
 }
 
-// NonPreemptive marks a Policy whose Preempts is constantly false: once
-// dispatched, a process runs to the end of its access (run-to-completion
-// per dispatch). The scheduler arms the run-ahead fast path for these
-// templates too — with no preemption and static keys, a batched run is
-// byte-identical to the serial loop by the same horizon/budget argument as
-// the default policy (see Sim.grantRunAhead). Implementations promise the
-// marker truthfully; a policy that preempts but claims NonPreemptive would
-// void the soundness argument.
-type NonPreemptive interface {
-	Policy
-	// NonPreemptive is the marker method; it is never called.
-	NonPreemptive()
-}
-
 // ageSLOSlack is the age-slo policy's exchange rate: one priority level is
 // worth this many virtual-time units of waiting. A job released t units
 // after a one-level-higher job overtakes it once t > ageSLOSlack.
@@ -92,7 +78,6 @@ type fcfsPolicy struct{}
 func (fcfsPolicy) Name() string                       { return "fcfs" }
 func (fcfsPolicy) Key(JobInfo) int64                  { return 0 }
 func (fcfsPolicy) Preempts(ready, current int64) bool { return false }
-func (fcfsPolicy) NonPreemptive()                     {}
 
 // prioFcfsPolicy dispatches by priority but never preempts: a running job
 // always finishes its access (run-to-completion per dispatch), then the
@@ -102,7 +87,6 @@ type prioFcfsPolicy struct{}
 func (prioFcfsPolicy) Name() string                       { return "priority-fcfs" }
 func (prioFcfsPolicy) Key(j JobInfo) int64                { return -int64(j.Prio) }
 func (prioFcfsPolicy) Preempts(ready, current int64) bool { return false }
-func (prioFcfsPolicy) NonPreemptive()                     {}
 
 // sjfPolicy is non-preemptive shortest-job-first on the workload's declared
 // Cost hint. Jobs without a hint (Cost 0) sort first; equal costs fall back
@@ -112,7 +96,6 @@ type sjfPolicy struct{}
 func (sjfPolicy) Name() string                       { return "sjf" }
 func (sjfPolicy) Key(j JobInfo) int64                { return j.Cost }
 func (sjfPolicy) Preempts(ready, current int64) bool { return false }
-func (sjfPolicy) NonPreemptive()                     {}
 
 // ageSLOPolicy trades priority against waiting time: the key is the release
 // clock minus a per-priority-level slack, so high-priority jobs go first

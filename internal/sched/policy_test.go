@@ -209,13 +209,52 @@ func TestVerifyPriorityModelPolicyGate(t *testing.T) {
 	}
 }
 
-// TestRunAheadPolicyGate probes grantRunAhead directly: on a freshly
-// dispatched, uncontended processor the default policy and every
-// NonPreemptive template (fcfs, priority-fcfs, sjf — run-to-completion
-// dispatch makes batching trivially sound) must arm a batching grant, and
-// every preemptive non-default policy must decline one (falling back to
-// the serial loop, whose behavior the differential suite pins).
+// TestRunAheadPolicyGate probes grantRunAhead directly under every policy
+// template. On a freshly dispatched, uncontended processor every template
+// must arm a batching grant. With a job waiting, the grant must be refused
+// exactly when that job would preempt the running one under the template's
+// own Preempts — a prio-9 waiter under the default and age-slo policies, a
+// prio-1 waiter under reverse-priority, never under the non-preemptive
+// templates — because keys are fixed at release and the verdict holds for
+// the whole batch.
 func TestRunAheadPolicyGate(t *testing.T) {
+	// probe dispatches a prio-5 job by hand, optionally parks a waiter of
+	// the given priority in the ready set, and reports whether the grant
+	// the run loop would hand the coroutine is armed, plus whether the
+	// policy says the waiter preempts.
+	probe := func(t *testing.T, pol Policy, waiter Priority) (granted, preempts bool) {
+		s := New(Config{Processors: 1, Seed: 1, MemWords: 1 << 10, Policy: pol})
+		defer s.shutdown()
+		x := s.Mem().MustAlloc("x", 1)
+		body := func(e *Env) {
+			for i := 0; i < 50; i++ {
+				e.Store(x, uint64(i))
+			}
+		}
+		s.Spawn(JobSpec{Name: "run", CPU: 0, Prio: 5, AfterSlices: -1, Body: body})
+		var q *Proc
+		if waiter != 0 {
+			// Slice-released far away, so the first dispatch cannot see
+			// it; it is moved into the ready set by hand below.
+			q = s.Spawn(JobSpec{Name: "wait", CPU: 0, Prio: waiter, AfterSlices: 1000, Body: body})
+		}
+		s.deliverTimeArrivals()
+		c := s.cpus[0]
+		p := s.pick(c)
+		if p == nil || p.spec.Name != "run" {
+			t.Fatalf("first dispatch picked %v, want the running job", p)
+		}
+		s.startIfNeeded(p)
+		if q != nil {
+			s.pendingSlice = s.pendingSlice[:0]
+			s.release(q)
+			preempts = pol.Preempts(q.key, p.key)
+		}
+		s.rebuildOccupancy()
+		s.grantRunAhead(c, p)
+		return p.env.budget > 0, preempts
+	}
+	refusers := map[string]bool{"default": true, "priority": true, "age-slo": true, "reverse-priority": true}
 	for _, name := range append([]string{""}, PolicyNames()...) {
 		label := name
 		if label == "" {
@@ -226,61 +265,51 @@ func TestRunAheadPolicyGate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := New(Config{Processors: 1, Seed: 1, MemWords: 1 << 10, Policy: pol})
-			x := s.Mem().MustAlloc("x", 1)
-			s.Spawn(JobSpec{Name: "w", CPU: 0, Prio: 1, AfterSlices: -1, Body: func(e *Env) {
-				for i := 0; i < 50; i++ {
-					e.Store(x, uint64(i))
+			if granted, _ := probe(t, pol, 0); !granted {
+				t.Errorf("policy %s: no run-ahead grant on an uncontended processor", label)
+			}
+			refused := false
+			for _, waiter := range []Priority{1, 9} {
+				granted, preempts := probe(t, pol, waiter)
+				if granted == preempts {
+					t.Errorf("policy %s, prio-%d waiter: granted = %v, want %v (waiter preempts = %v)",
+						label, waiter, granted, !preempts, preempts)
 				}
-			}})
-			// Drive the scheduler's first dispatch by hand, then probe the
-			// grant the run loop would hand the coroutine.
-			s.deliverTimeArrivals()
-			c := s.cpus[0]
-			p := s.pick(c)
-			if p == nil {
-				t.Fatal("no process picked")
+				refused = refused || !granted
 			}
-			s.startIfNeeded(p)
-			s.grantRunAhead(c, p)
-			granted := p.env.budget > 0
-			_, nonPreemptive := pol.(NonPreemptive)
-			wantGrant := pol == DefaultPolicy() || nonPreemptive
-			if wantNP := map[string]bool{"fcfs": true, "priority-fcfs": true, "sjf": true}[name]; nonPreemptive != wantNP {
-				t.Errorf("policy %s: NonPreemptive marker = %v, want %v", label, nonPreemptive, wantNP)
+			if refused != refusers[label] {
+				t.Errorf("policy %s: some waiter refused the grant = %v, want %v", label, refused, refusers[label])
 			}
-			if granted != wantGrant {
-				t.Errorf("policy %s: run-ahead granted = %v (budget %d, horizon %d), want %v",
-					label, granted, p.env.budget, p.env.horizon, wantGrant)
-			}
-			// Unwind the coroutine cleanly.
-			s.shutdown()
 		})
 	}
 }
 
 // TestRunAheadDifferentialAllPolicies extends the fast-path differential
-// to every policy template: with run-ahead enabled and disabled, every
-// fastpath scenario must produce byte-identical fingerprints. For the
-// default policy this exercises real batching; for the others it proves
-// the gate leaves behavior untouched.
+// to every policy template: every fastpath scenario must produce
+// byte-identical fingerprints with batching on and with the serial loop
+// (SetRunAhead(false)). Batching must really happen under every policy:
+// the batched runs take fewer handoffs in total than the serial ones.
 func TestRunAheadDifferentialAllPolicies(t *testing.T) {
 	for _, name := range PolicyNames() {
 		pol, err := PolicyByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var onHandoffs, offHandoffs uint64
 		for _, sc := range fastpathScenarios {
 			t.Run(name+"/"+sc.name, func(t *testing.T) {
-				on := sc.build(Config{Policy: pol})
-				onFP := fingerprint(on, on.Run())
-				off := sc.build(Config{Policy: pol, DisableRunAhead: true})
-				offFP := fingerprint(off, off.Run())
+				onFP, onH := runAheadFingerprint(sc.build, Config{Policy: pol}, true)
+				offFP, offH := runAheadFingerprint(sc.build, Config{Policy: pol}, false)
 				if onFP != offFP {
 					t.Errorf("policy %s scenario %s: run-ahead on vs off diverged:\n--- on ---\n%s--- off ---\n%s",
 						name, sc.name, onFP, offFP)
 				}
+				onHandoffs += onH
+				offHandoffs += offH
 			})
+		}
+		if onHandoffs >= offHandoffs {
+			t.Errorf("policy %s: %d handoffs batched vs %d serial — run-ahead never armed", name, onHandoffs, offHandoffs)
 		}
 	}
 }

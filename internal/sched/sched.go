@@ -13,12 +13,12 @@
 //   - memory is sequentially consistent and CAS (and, natively, CCAS/CAS2)
 //     is atomic.
 //
-// Simulated processes are coroutines: each is a goroutine that blocks on a
-// private channel and is woken by the scheduler, runs until its next
-// preemption point (every shared-memory operation in Fine granularity), and
-// hands control back. Exactly one simulated process executes at any real
-// instant, so simulated shared memory needs no locking and every run is
-// deterministic given its seed and job set.
+// Simulated processes are coroutines (iter.Pull): each is resumed by the
+// scheduler, runs until its next preemption point (every shared-memory
+// operation in Fine granularity), and hands control back. Exactly one
+// simulated process executes at any real instant, so simulated shared
+// memory needs no locking and every run is deterministic given its seed and
+// job set.
 //
 // Multiprocessor parallelism is modelled as an interleaving: each simulated
 // processor has a virtual clock that advances by the cost of the operations
@@ -96,17 +96,10 @@ type Config struct {
 	MaxSteps uint64
 	// EnableTrace records scheduling events and algorithm annotations.
 	EnableTrace bool
-	// DisableRunAhead turns off the run-ahead slice-batching fast path for
-	// this run, forcing one scheduler round trip per slice. The schedule is
-	// identical either way (see DESIGN.md §10); the switch exists for
-	// benchmarking and differential testing, not for correctness.
-	DisableRunAhead bool
 	// Policy is the scheduling discipline; nil means DefaultPolicy (the
-	// paper's strict-priority model). The run-ahead fast path is armed for
-	// the default policy and for every NonPreemptive template
-	// (fcfs/priority-fcfs/sjf — run-to-completion dispatch makes batching
-	// trivially sound); preemptive non-default policies (age-slo,
-	// reverse-priority) take the serial scheduler loop (see DESIGN.md §13).
+	// paper's strict-priority model). Every policy's keys are fixed at
+	// release, so the run-ahead fast path is sound under all of them (see
+	// DESIGN.md §13).
 	Policy Policy
 }
 
@@ -166,16 +159,12 @@ type Proc struct {
 	state procState
 	env   *Env
 
-	resume chan struct{}
-	yield  chan yieldMsg
-	// next, when non-nil, resumes the coroutine through iter.Pull's direct
-	// goroutine switch instead of the channel rendezvous — the run-ahead
-	// fast core's handoff (see startIfNeeded). The coroutine is a
-	// persistent loop (coloop): it parks at the final yield of one job
-	// body and picks up the next body on resume, so a pooled Proc reuses
-	// one coroutine (and its stack) across every schedule of a sweep.
-	// stop unwinds the parked loop (stopCoro); the serial mode keeps the
-	// channel pair as the reference implementation.
+	// next resumes the coroutine through iter.Pull's direct goroutine
+	// switch (see startIfNeeded). The coroutine is a persistent loop
+	// (coloop): it parks at the final yield of one job body and picks up
+	// the next body on resume, so a pooled Proc reuses one coroutine (and
+	// its stack) across every schedule of a sweep. stop unwinds the parked
+	// loop (stopCoro).
 	next func() (yieldMsg, bool)
 	stop func()
 
@@ -267,6 +256,7 @@ type Sim struct {
 	pendingSlice []*Proc // released by slice count, sorted by (AfterSlices, id)
 
 	slices    uint64
+	handoffs  uint64
 	enqueueNo int
 	ran       bool
 	aborting  bool
@@ -274,16 +264,13 @@ type Sim struct {
 
 	// policy is the run's scheduling discipline (never nil after Reset);
 	// policyDefault caches whether it is the strict-priority default (the
-	// reports' and signatures' "no policy stamp" case), and policyRunAhead
-	// whether the run-ahead fast path is sound for it: the default or any
-	// NonPreemptive template.
-	policy         Policy
-	policyDefault  bool
-	policyRunAhead bool
+	// reports' and signatures' "no policy stamp" case).
+	policy        Policy
+	policyDefault bool
 
-	// procFree recycles Proc/Env pairs (and their coroutine channels)
+	// procFree recycles Proc/Env pairs (and their parked coroutines)
 	// across Reset: sweeps spawn the same small cast thousands of times,
-	// and the Proc+Env+2-channel allocation per job was a top line in the
+	// and the per-job Proc+Env+coroutine allocation was a top line in the
 	// per-schedule profile.
 	procFree []*Proc
 
@@ -336,10 +323,6 @@ func (s *Sim) Reset(cfg Config) *Sim {
 		s.policy = defaultPolicy
 	}
 	_, s.policyDefault = s.policy.(priorityPolicy)
-	s.policyRunAhead = s.policyDefault
-	if !s.policyRunAhead {
-		_, s.policyRunAhead = s.policy.(NonPreemptive)
-	}
 	if s.mem == nil {
 		s.mem = shmem.New(cfg.MemWords)
 	} else {
@@ -362,13 +345,8 @@ func (s *Sim) Reset(cfg Config) *Sim {
 	}
 	for _, p := range s.proc {
 		if p.started && p.state != stateDone {
-			// Live coroutine (Reset without Run/shutdown): a parked
-			// pull-mode loop can be unwound and recycled; a channel-mode
-			// goroutine is blocked in a send we cannot drain here, so
-			// abandon it rather than hand it a recycled Proc.
-			if p.next == nil {
-				continue
-			}
+			// Live coroutine (Reset without Run/shutdown): unwind the
+			// parked body before the Proc is recycled.
 			p.stopCoro()
 		}
 		s.procFree = append(s.procFree, p)
@@ -380,6 +358,7 @@ func (s *Sim) Reset(cfg Config) *Sim {
 	clear(s.pendingSlice)
 	s.pendingSlice = s.pendingSlice[:0]
 	s.slices = 0
+	s.handoffs = 0
 	s.enqueueNo = 0
 	s.ran = false
 	s.aborting = false
@@ -431,7 +410,7 @@ func Acquire(cfg Config) *Sim { return simPool.Get().(*Sim).Reset(cfg) }
 // Procs' Envs, or its Mem afterwards. Trace logs obtained from Trace
 // remain valid: Reset never reuses them.
 //
-// Release unwinds every parked pull-mode coroutine (coloop) first: those
+// Release unwinds every parked coroutine (coloop) first: those
 // persist across Reset to serve Proc recycling within a sweep, but a Sim
 // sitting in (or dropped from) the pool must not hold goroutines.
 func Release(s *Sim) {
@@ -448,10 +427,10 @@ func Release(s *Sim) {
 }
 
 // runAheadEnabled globally gates the run-ahead fast path (see
-// grantRunAhead). It exists so benchmarks and differential tests can compare
-// the serial and batched execution paths without plumbing a Config flag
-// through every call site; both paths produce byte-identical runs. It must
-// only be toggled while no simulation is running.
+// grantRunAhead). Off, no grant is ever armed and every slice is one
+// handoff — the serial loop benchmarks and differential tests compare the
+// batched path against; both produce byte-identical runs. It must only be
+// toggled while no simulation is running.
 var runAheadEnabled = true
 
 // SetRunAhead enables or disables the run-ahead fast path process-wide.
@@ -485,6 +464,11 @@ func (s *Sim) Rand() *rand.Rand {
 
 // Slices returns the number of slices executed so far.
 func (s *Sim) Slices() uint64 { return s.slices }
+
+// Handoffs returns the number of scheduler-to-coroutine handoffs so far: one
+// per resume of a process, however many slices it then concludes under a
+// run-ahead grant. Without a grant every slice is one handoff.
+func (s *Sim) Handoffs() uint64 { return s.handoffs }
 
 // Policy returns the run's scheduling discipline (never nil).
 func (s *Sim) Policy() Policy { return s.policy }
@@ -537,18 +521,13 @@ func (s *Sim) Spawn(spec JobSpec) *Proc {
 }
 
 // takeProc returns a recycled Proc from the free list — all fields zeroed,
-// Env, channel pair, parked coroutine, and opSamples backing kept — or a
-// fresh one. The coroutine channels are created lazily by startIfNeeded:
-// the pull-mode fast core never needs them.
+// Env, parked coroutine, and opSamples backing kept — or a fresh one.
 func (s *Sim) takeProc() *Proc {
 	if n := len(s.procFree); n > 0 {
 		p := s.procFree[n-1]
 		s.procFree[n-1] = nil
 		s.procFree = s.procFree[:n-1]
-		e, resume, yield, samples := p.env, p.resume, p.yield, p.opSamples[:0]
-		next, stop := p.next, p.stop
-		*p = Proc{resume: resume, yield: yield, next: next, stop: stop, opSamples: samples}
-		p.env = e
+		*p = Proc{env: p.env, next: p.next, stop: p.stop, opSamples: p.opSamples[:0]}
 		return p
 	}
 	return &Proc{env: &Env{}}
@@ -675,64 +654,29 @@ func (s *Sim) pick(c *cpuState) *Proc {
 	return top
 }
 
-// startIfNeeded launches the coroutine on first dispatch: through
-// iter.Pull's direct goroutine switch when the run-ahead fast core is
-// armed, or through the reference channel rendezvous otherwise. The mode is
-// fixed per process at first dispatch; runSlice and shutdown key on p.next.
+// startIfNeeded records the first dispatch and, for a fresh Proc, creates
+// its coroutine. A recycled Proc's coroutine is still parked in its coloop
+// from the previous schedule and resumes into the new body directly.
 func (s *Sim) startIfNeeded(p *Proc) {
 	if p.started {
 		return
 	}
 	p.started = true
 	p.Started = s.cpus[p.spec.CPU].clock
-	if !s.cfg.DisableRunAhead && runAheadEnabled && s.policyRunAhead {
-		// Fast core: iter.Pull hands control scheduler ↔ coroutine with a
-		// direct goroutine switch instead of parking both sides on a
-		// channel — the dominant per-slice cost on contended
-		// multiprocessor runs, where the clock-crossing horizon forbids
-		// any batching grant. A recycled Proc's coroutine is still parked
-		// in its coloop from the previous schedule and resumes into the
-		// new body directly. Serial mode keeps the channel pair below as
-		// the reference implementation the differential suite pins
-		// byte-identical.
-		if p.next == nil {
-			p.next, p.stop = iter.Pull(p.coloop)
-		}
-		return
+	if p.next == nil {
+		p.next, p.stop = iter.Pull(p.coloop)
 	}
-	// Switching a recycled pull-mode Proc to the serial path: unwind its
-	// parked coroutine first so it cannot leak behind the channel pair.
-	p.stopCoro()
-	if p.resume == nil {
-		p.resume = make(chan struct{})
-		p.yield = make(chan yieldMsg)
-	}
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				if r == errAborted { //nolint:errorlint // sentinel identity is intended
-					p.yield <- yieldMsg{kind: yieldFinished, cost: p.env.pending}
-					return
-				}
-				p.yield <- yieldMsg{kind: yieldPanicked, pval: r, stack: debug.Stack()}
-				return
-			}
-			p.yield <- yieldMsg{kind: yieldFinished, cost: p.env.pending}
-		}()
-		p.spec.Body(p.env)
-	}()
 }
 
-// coloop is the persistent pull-mode coroutine: one job body per resume,
-// parking at the body's final yield until the scheduler installs the next
-// body (Proc recycling across Reset — see takeProc) or unwinds the loop
-// (stopCoro makes the parked yield return false). iter.Pull guarantees the
-// coroutine is suspended whenever the scheduler runs (next() and yield()
-// form a strict rendezvous), so the exclusivity argument of the channel
-// pair carries over unchanged. Persisting the coroutine across schedules
-// removes the per-run iter.Pull construction — coroutine, stack and
-// closure — that dominated the sweep-mode allocation profile.
+// coloop is the persistent coroutine: one job body per resume, parking at
+// the body's final yield until the scheduler installs the next body (Proc
+// recycling across Reset — see takeProc) or unwinds the loop (stopCoro
+// makes the parked yield return false). iter.Pull guarantees the coroutine
+// is suspended whenever the scheduler runs (next() and yield() form a
+// strict rendezvous), so simulator state needs no locking. Persisting the
+// coroutine across schedules removes the per-run iter.Pull construction —
+// coroutine, stack and closure — that dominated the sweep-mode allocation
+// profile.
 func (p *Proc) coloop(yield func(yieldMsg) bool) {
 	for yield(p.runBody(yield)) {
 	}
@@ -744,9 +688,9 @@ func (p *Proc) coloop(yield func(yieldMsg) bool) {
 // completed one; coloop's closing yield then reports it or returns false.
 func (p *Proc) runBody(yield func(yieldMsg) bool) (msg yieldMsg) {
 	e := p.env
-	e.yieldFast = yield
+	e.yield = yield
 	defer func() {
-		e.yieldFast = nil
+		e.yield = nil
 		if r := recover(); r != nil {
 			if r == errAborted { //nolint:errorlint // sentinel identity is intended
 				msg = yieldMsg{kind: yieldFinished, cost: e.pending}
@@ -761,7 +705,7 @@ func (p *Proc) runBody(yield func(yieldMsg) bool) (msg yieldMsg) {
 	return
 }
 
-// stopCoro unwinds a parked pull-mode coroutine: iter.Pull's stop makes
+// stopCoro unwinds a parked coroutine: iter.Pull's stop makes
 // the pending yield return false, which ends coloop (a mid-body park
 // unwinds through the errAborted sentinel first). No-op without one. Only
 // call while the coroutine is suspended — after Run has returned, or on a
@@ -777,24 +721,18 @@ func (p *Proc) stopCoro() {
 // runSlice resumes p until its next preemption point and applies the cost.
 func (s *Sim) runSlice(c *cpuState, p *Proc) {
 	s.startIfNeeded(p)
+	s.handoffs++
 	p.Slices++
 	s.mem.SetCurrentProc(p.id)
-	var msg yieldMsg
-	if p.next != nil {
-		m, ok := p.next()
-		if !ok {
-			// Defensive: a pull coroutine only finishes without a message
-			// when stopped; treat it as completed.
-			m = yieldMsg{kind: yieldFinished}
-		}
-		// On a final message the coroutine stays parked inside coloop's
-		// closing yield, ready for the Proc's next body (takeProc) —
-		// Release unwinds it before pooling the Sim.
-		msg = m
-	} else {
-		p.resume <- struct{}{}
-		msg = <-p.yield
+	msg, ok := p.next()
+	if !ok {
+		// Defensive: the coroutine only finishes without a message when
+		// stopped; treat it as completed.
+		msg = yieldMsg{kind: yieldFinished}
 	}
+	// On a final message the coroutine stays parked inside coloop's
+	// closing yield, ready for the Proc's next body (takeProc) — Release
+	// unwinds it before pooling the Sim.
 	s.mem.SetCurrentProc(-1)
 	if p.env.horizon > 0 {
 		// The slice ran with a run-ahead grant, so the coroutine may have
@@ -834,8 +772,8 @@ func (s *Sim) runSlice(c *cpuState, p *Proc) {
 			s.failure = fmt.Errorf("sched: process %q (id %d) panicked: %v\n%s", p.spec.Name, p.id, msg.pval, msg.stack)
 		}
 	}
-	// Note: p.env.pending is owned by the coroutine goroutine (reset in
-	// yieldNow before the send); the scheduler must not touch it.
+	// Note: p.env.pending is owned by the coroutine (reset in yieldNow
+	// before it yields); the scheduler must not touch it.
 }
 
 // Run executes the simulation until every released job completes. It returns
@@ -961,21 +899,16 @@ func (s *Sim) rebuildOccupancy() {
 //     Both are strict-< continuations: at equality the coroutine hands back
 //     and the scheduler re-decides, exactly like the serial loop.
 //   - the ready set of c cannot change during the batch (no arrivals below
-//     the horizon/budget), and a grant is refused when a higher-priority
-//     process is already waiting (only a lapsing NoPreempt section keeps p
-//     running, and it may lapse at any slice boundary).
+//     the horizon/budget), and every policy's keys are fixed at release, so
+//     the policy's verdict on the waiting top against p cannot change
+//     either. A grant is refused when that top would preempt p (only a
+//     lapsing NoPreempt section keeps p running, and it may lapse at any
+//     slice boundary); otherwise pick keeps p at every boundary below the
+//     horizon, under any policy.
 func (s *Sim) grantRunAhead(c *cpuState, p *Proc) {
 	e := p.env
 	e.budget, e.horizon = 0, 0
-	if s.cfg.DisableRunAhead || !runAheadEnabled || !s.policyRunAhead {
-		// Preemptive non-default policies take the serial loop: the
-		// grant's soundness argument below leans on preemption being
-		// either the strict-priority rule or absent. NonPreemptive
-		// templates batch too — their Preempts is constantly false, so
-		// the waiting-process refusal below is vacuous and the ready set
-		// still cannot change inside a grant. Both paths are
-		// byte-identical whenever the grant is armed, so this gate only
-		// costs speed, never correctness.
+	if !runAheadEnabled {
 		return
 	}
 	if len(c.ready) > 0 && s.policy.Preempts(c.ready[0].key, p.key) {
@@ -1040,24 +973,14 @@ func (s *Sim) shutdown() {
 		if !p.started || p.state == stateDone || p.state == stateUnreleased {
 			continue
 		}
-		// Resume; the coroutine observes aborting at its next
-		// preemption point and unwinds via the errAborted sentinel.
-		if p.next != nil {
-			// Resume until the body unwinds (errAborted at the next
-			// preemption point surfaces as its final yield); the loop
-			// then parks for reuse, like a normal completion.
-			for {
-				m, ok := p.next()
-				if !ok || m.kind != yieldPoint {
-					break
-				}
-			}
-		} else {
-			p.resume <- struct{}{}
-			msg := <-p.yield
-			for msg.kind == yieldPoint {
-				p.resume <- struct{}{}
-				msg = <-p.yield
+		// Resume until the body unwinds: the coroutine observes aborting
+		// at its next preemption point, and errAborted surfaces as its
+		// final yield. The loop then parks for reuse, like a normal
+		// completion.
+		for {
+			m, ok := p.next()
+			if !ok || m.kind != yieldPoint {
+				break
 			}
 		}
 		p.state = stateDone
